@@ -15,24 +15,27 @@
 //! All language filters in a classifier share one [`H3Family`] (the hardware
 //! replicates the hash circuits, not the randomness), so the `k` addresses of
 //! an n-gram are the same for every language. The bank exploits that: for
-//! each hash function `i` it stores ONE address-indexed array `slices[i]`
-//! whose entry at address `a` is a `p`-bit **language mask** — bit `j` set
-//! iff language `j`'s vector-`i` bit at `a` is set.
+//! each hash function `i` it stores ONE address-indexed row whose entry at
+//! address `a` is a `p`-bit **language mask** — bit `j` set iff language
+//! `j`'s vector-`i` bit at `a` is set.
 //!
-//! Mask entries are stored at the narrowest power-of-two width that holds
-//! `p` bits (`u8`/`u16`/`u32`/`u64`), which keeps the hot arrays small — the
-//! paper's 8-language configuration packs each mask into one byte, an 8×
-//! smaller working set than uniform `u64` words, small enough to stay
-//! cache-resident. `p > 64` uses `ceil(p/64)` little-endian `u64` words per
-//! mask, so any language count works transparently.
+//! The rows are built once, in [`FilterBank::from_filters`], and are the
+//! only stored form of the programmed filters inside the bank: both
+//! dispatch levels read them. Entries use the narrowest power-of-two width
+//! that holds `p` bits (`u8`/`u16`/`u32`/`u64`), which keeps the hot rows
+//! small — the paper's 8-language configuration packs each mask into one
+//! byte, small enough to stay cache-resident. Each row ends in a few zero
+//! entries so a 4-byte vector gather at the last address stays in bounds.
+//! The width is also the probe plan: narrow rows (`p ≤ 64`, `k ≤ 8`) run
+//! the const-`K` [`Probe`]; `p > 64` (`ceil(p/64)` little-endian `u64`
+//! words per entry) and `k > 8` run one runtime-`k` scalar loop.
 //!
 //! A membership test of one n-gram against all `p` languages becomes:
 //!
 //! 1. compute the `k` addresses once (fused H3 evaluation),
-//! 2. load `k` masks — one contiguous load per hash function,
+//! 2. load `k` masks — one load per hash function,
 //! 3. AND-reduce them (languages whose every per-hash bit was set survive),
-//! 4. scatter-add the surviving mask bits into per-language counters
-//!    (`trailing_zeros` loop, one increment per matching language).
+//! 4. count the surviving mask bits into per-language counters.
 //!
 //! That is `k` loads + one AND per n-gram instead of `p·k` loads — the same
 //! fan-out the paper's datapath gets from wiring.
@@ -41,16 +44,15 @@
 //!
 //! * Bit-for-bit equivalent to testing each [`crate::ParallelBloomFilter`]
 //!   independently (property-tested for every mask width, any `p`, any
-//!   input).
+//!   input, at both dispatch levels).
 //! * Addresses produced by the shared hash family are `< m` by construction
 //!   (H3 output width equals the vector address width), so the hot path
-//!   performs no per-language assertions; this is checked once at
-//!   construction and with `debug_assert!` in debug builds.
+//!   performs no per-language assertions.
 
 use crate::params::BloomParams;
-use crate::simd::Avx2Probe;
+use crate::simd::{MaskWord, Probe};
 use crate::ParallelBloomFilter;
-use lc_hash::{H3Family, SimdLevel};
+use lc_hash::{H3Family, SimdLevel, TransposedTables};
 
 /// Keys per block in [`KeySource::for_each_key_block`] — one AVX2 register
 /// of 32-bit keys. Matches `lc_ngram::BLOCK_LANES` (the extractor's block
@@ -118,82 +120,21 @@ impl<I: IntoIterator<Item = u64>> KeySource for I {
     }
 }
 
-/// A mask storage element: the bit-sliced arrays hold language masks at the
-/// narrowest width that fits `p`.
-trait MaskWord: Copy {
-    /// Bits per element.
-    const BITS: usize;
-    /// All-zero element.
-    const ZERO: Self;
-    /// Set bit `j` (`j < BITS`).
-    fn set_bit(&mut self, j: usize);
-    /// Bitwise AND.
-    fn and(self, other: Self) -> Self;
-    /// Widen to u64 for the scatter-add loop.
-    fn to_u64(self) -> u64;
-}
-
-macro_rules! impl_mask_word {
-    ($($t:ty),*) => {$(
-        impl MaskWord for $t {
-            const BITS: usize = <$t>::BITS as usize;
-            const ZERO: Self = 0;
-
-            #[inline]
-            fn set_bit(&mut self, j: usize) {
-                *self |= 1 << j;
-            }
-
-            #[inline]
-            fn and(self, other: Self) -> Self {
-                self & other
-            }
-
-            #[inline]
-            fn to_u64(self) -> u64 {
-                self as u64
-            }
-        }
-    )*};
-}
-impl_mask_word!(u8, u16, u32, u64);
-
-/// `SPREAD8[m]` has byte `j` equal to bit `j` of `m`: one table load turns
-/// an 8-language match mask into eight 0/1 byte increments, so the hot
-/// loop's count update is a single 64-bit add — no per-set-bit branch loop.
-/// The `p ≤ 16` bank applies the same table to each mask byte (SPREAD16):
-/// two lookups, two adds, sixteen branchless lanes across a packed pair.
-pub(crate) static SPREAD8: [u64; 256] = {
-    let mut t = [0u64; 256];
-    let mut m = 0usize;
-    while m < 256 {
-        let mut v = 0u64;
-        let mut j = 0;
-        while j < 8 {
-            if m >> j & 1 == 1 {
-                v |= 1u64 << (8 * j);
-            }
-            j += 1;
-        }
-        t[m] = v;
-        m += 1;
-    }
-    t
-};
-
-/// Width-specialized bit-sliced arrays (one per hash function).
+/// The stored mask rows, one per hash function. The variant is the probe
+/// plan, fixed when the bank is built.
 #[derive(Clone, Debug)]
-pub(crate) enum MaskSlices {
-    /// `p <= 8`: one byte per (hash, address) entry.
+enum MaskRows {
+    /// `p ≤ 8`, `k ≤ 8`: one byte per entry.
     W8(Vec<Box<[u8]>>),
-    /// `p <= 16`.
+    /// `p ≤ 16`, `k ≤ 8`.
     W16(Vec<Box<[u16]>>),
-    /// `p <= 32`.
+    /// `p ≤ 32`, `k ≤ 8`.
     W32(Vec<Box<[u32]>>),
-    /// `p <= 64`, or `p > 64` with `ceil(p/64)` words per mask. Also used
-    /// for `k > 8` (beyond the const-generic dispatch table; the paper's
-    /// largest k is 6).
+    /// `p ≤ 64`, `k ≤ 8`.
     W64(Vec<Box<[u64]>>),
+    /// `p > 64` or `k > 8` (beyond the const-`K` table; the paper's largest
+    /// `k` is 6): `ceil(p/64)` words per entry, runtime-`k` scalar loop.
+    Wide(Vec<Box<[u64]>>),
 }
 
 /// Bit-sliced multi-language Bloom engine. See the [module docs](self).
@@ -206,11 +147,10 @@ pub struct FilterBank {
     /// `ceil(p / 64)`: u64 words per language mask in the widened
     /// ([`Self::match_mask`]) representation.
     words_per_mask: usize,
-    slices: MaskSlices,
-    /// The AVX2 probe engine, built once at construction when runtime
-    /// dispatch lands on AVX2 and the bank shape has a vector fast path;
-    /// `None` means every accumulate call runs the scalar loops.
-    simd: Option<Avx2Probe>,
+    rows: MaskRows,
+    /// The AVX2 hash tables, built when dispatch lands on AVX2 and the
+    /// rows have a probe; `None` means every source drains key by key.
+    simd: Option<TransposedTables>,
 }
 
 impl FilterBank {
@@ -237,56 +177,55 @@ impl FilterBank {
         }
         let p = filters.len();
         let words_per_mask = p.div_ceil(64);
-        // Narrow widths only where the const-K dispatch covers them; the
-        // runtime-k and multi-word paths stay on u64.
-        let slices = if p <= 8 && params.k <= 8 {
-            MaskSlices::W8(Self::build_slices::<u8>(filters, params, 1))
-        } else if p <= 16 && params.k <= 8 {
-            MaskSlices::W16(Self::build_slices::<u16>(filters, params, 1))
-        } else if p <= 32 && params.k <= 8 {
-            MaskSlices::W32(Self::build_slices::<u32>(filters, params, 1))
+        let rows = if params.k > 8 || p > 64 {
+            MaskRows::Wide(Self::build_rows(filters, params, words_per_mask))
+        } else if p <= 8 {
+            MaskRows::W8(Self::build_rows(filters, params, 1))
+        } else if p <= 16 {
+            MaskRows::W16(Self::build_rows(filters, params, 1))
+        } else if p <= 32 {
+            MaskRows::W32(Self::build_rows(filters, params, 1))
         } else {
-            MaskSlices::W64(Self::build_slices::<u64>(filters, params, words_per_mask))
+            MaskRows::W64(Self::build_rows(filters, params, 1))
         };
         let mut bank = Self {
             params,
             hashes,
             languages: p,
             words_per_mask,
-            slices,
+            rows,
             simd: None,
         };
         bank.set_simd_level(SimdLevel::detect());
         bank
     }
 
-    /// Build the `k` bit-sliced arrays at element width `W` (`wpm` elements
-    /// per address; > 1 only for the u64 multi-word case).
-    fn build_slices<W: MaskWord>(
+    /// Build the `k` rows at element width `W` (`wpm` elements per address;
+    /// > 1 only for wide rows), each followed by `W::PAD` zero entries.
+    fn build_rows<W: MaskWord>(
         filters: &[ParallelBloomFilter],
         params: BloomParams,
         wpm: usize,
     ) -> Vec<Box<[W]>> {
-        let m = params.m_bits();
-        let mut slices = Vec::with_capacity(params.k);
-        for i in 0..params.k {
-            let mut slice = vec![W::ZERO; m * wpm].into_boxed_slice();
-            for (j, f) in filters.iter().enumerate() {
-                let (word_idx, bit) = (j / W::BITS, j % W::BITS);
-                // Walk the language's set bits word-by-word instead of
-                // testing all m addresses: profiles are sparse.
-                for (w, &word) in f.vectors()[i].words().iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let a = w * 64 + word.trailing_zeros() as usize;
-                        slice[a * wpm + word_idx].set_bit(bit);
-                        word &= word - 1;
+        let bits = 8 * size_of::<W>();
+        (0..params.k)
+            .map(|i| {
+                let mut row = vec![W::default(); params.m_bits() * wpm + W::PAD];
+                for (j, f) in filters.iter().enumerate() {
+                    // Walk the language's set bits word-by-word instead of
+                    // testing all m addresses: profiles are sparse.
+                    for (w, &word) in f.vectors()[i].words().iter().enumerate() {
+                        let mut word = word;
+                        while word != 0 {
+                            let a = w * 64 + word.trailing_zeros() as usize;
+                            row[a * wpm + j / bits].set_bit(j % bits);
+                            word &= word - 1;
+                        }
                     }
                 }
-            }
-            slices.push(slice);
-        }
-        slices
+                row.into_boxed_slice()
+            })
+            .collect()
     }
 
     /// Bloom parameters shared by every banked language.
@@ -308,11 +247,11 @@ impl FilterBank {
     /// Storage bits per (hash, address) mask entry (8/16/32 for narrow
     /// banks, `64 × words_per_mask` otherwise).
     pub fn mask_entry_bits(&self) -> usize {
-        match &self.slices {
-            MaskSlices::W8(_) => 8,
-            MaskSlices::W16(_) => 16,
-            MaskSlices::W32(_) => 32,
-            MaskSlices::W64(_) => 64 * self.words_per_mask,
+        match &self.rows {
+            MaskRows::W8(_) => 8,
+            MaskRows::W16(_) => 16,
+            MaskRows::W32(_) => 32,
+            MaskRows::W64(_) | MaskRows::Wide(_) => 64 * self.words_per_mask,
         }
     }
 
@@ -321,25 +260,25 @@ impl FilterBank {
         &self.hashes
     }
 
-    /// The width-specialized probe slices (the SIMD engine re-pads them).
-    pub(crate) fn mask_slices(&self) -> &MaskSlices {
-        &self.slices
-    }
-
-    /// Choose the probe path. `Avx2` builds the vector engine when the CPU
-    /// and the bank shape allow it (silently staying scalar otherwise);
-    /// `Scalar` drops any engine. Called once at construction with the
-    /// process-wide [`SimdLevel::detect`] choice; tests and the
+    /// Choose the probe path. `Avx2` builds the block path's hash tables
+    /// when the CPU and the bank shape allow it (silently staying scalar
+    /// otherwise); `Scalar` drops them. Called once at construction with
+    /// the process-wide [`SimdLevel::detect`] choice; tests and the
     /// `--force-scalar` plumbing call it explicitly for live A/B.
     pub fn set_simd_level(&mut self, level: SimdLevel) {
-        self.simd = match level {
-            SimdLevel::Scalar => None,
-            SimdLevel::Avx2 => Avx2Probe::build(self),
-        };
+        let has_probe = !matches!(self.rows, MaskRows::Wide(_));
+        // Gather indices are signed 32-bit lanes.
+        let vector = level == SimdLevel::Avx2
+            && has_probe
+            && self.params.address_bits <= 31
+            && SimdLevel::cpu_has_avx2();
+        self.simd = vector
+            .then(|| self.hashes.transposed_tables())
+            .filter(TransposedTables::avx2_eligible);
     }
 
     /// The probe path dispatch **actually** selected — `Avx2` only when the
-    /// vector engine is live, `Scalar` when the CPU, the environment
+    /// block path is live, `Scalar` when the CPU, the environment
     /// (`LC_FORCE_SCALAR`) or the bank shape kept the scalar loops.
     pub fn simd_level(&self) -> SimdLevel {
         if self.simd.is_some() {
@@ -358,33 +297,22 @@ impl FilterBank {
     /// matches. Convenience wrapper (allocates); hot paths use
     /// [`Self::accumulate_keys`].
     pub fn match_mask(&self, key: u64) -> Vec<u64> {
-        match &self.slices {
-            MaskSlices::W8(s) => vec![self.mask_one(s, key)],
-            MaskSlices::W16(s) => vec![self.mask_one(s, key)],
-            MaskSlices::W32(s) => vec![self.mask_one(s, key)],
-            MaskSlices::W64(s) => {
-                if self.words_per_mask == 1 {
-                    vec![self.mask_one(s, key)]
-                } else {
-                    let mut addrs = vec![0u32; self.params.k];
-                    let mut mask = vec![0u64; self.words_per_mask];
-                    self.hashes.hash_all_into(key, &mut addrs);
-                    Self::and_reduce(s, self.words_per_mask, &addrs, &mut mask);
-                    mask
-                }
+        fn and_rows<W: MaskWord>(rows: &[Box<[W]>], addrs: &[u32]) -> Vec<u64> {
+            let mask = rows.iter().zip(addrs);
+            vec![mask.fold(u64::MAX, |m, (row, &a)| m & row[a as usize].into())]
+        }
+        let addrs = self.hashes.hash_all(key);
+        match &self.rows {
+            MaskRows::W8(r) => and_rows(r, &addrs),
+            MaskRows::W16(r) => and_rows(r, &addrs),
+            MaskRows::W32(r) => and_rows(r, &addrs),
+            MaskRows::W64(r) => and_rows(r, &addrs),
+            MaskRows::Wide(r) => {
+                let mut mask = vec![0u64; self.words_per_mask];
+                Self::and_reduce(r, self.words_per_mask, &addrs, &mut mask);
+                mask
             }
         }
-    }
-
-    /// Single-key AND-reduce over single-element masks, widened to u64.
-    fn mask_one<W: MaskWord>(&self, slices: &[Box<[W]>], key: u64) -> u64 {
-        let mut addrs = vec![0u32; self.params.k];
-        self.hashes.hash_all_into(key, &mut addrs);
-        let mut mask = slices[0][addrs[0] as usize];
-        for (i, &a) in addrs.iter().enumerate().skip(1) {
-            mask = mask.and(slices[i][a as usize]);
-        }
-        mask.to_u64()
     }
 
     /// Test one key against every language, returning matching indices.
@@ -399,48 +327,6 @@ impl FilterBank {
             }
         }
         out
-    }
-
-    /// Scatter-add one mask word's set bits into the counters: bit `b` of
-    /// `mask` increments `counts[bit_base + b]`. The single place the
-    /// count-on-match semantics live; every accumulate path inlines this.
-    #[inline]
-    pub(crate) fn scatter_add(mask: u64, bit_base: usize, counts: &mut [u64]) {
-        let mut mask = mask;
-        while mask != 0 {
-            counts[bit_base + mask.trailing_zeros() as usize] += 1;
-            mask &= mask - 1;
-        }
-    }
-
-    /// Drain a packed 8×8-bit counter word into the wide counters:
-    /// byte `j` of `packed` adds to `counts[j]`. Bytes at or above
-    /// `counts.len()` are always zero (masks only carry language bits).
-    #[inline]
-    pub(crate) fn flush_packed8(packed: u64, counts: &mut [u64]) {
-        for (j, c) in counts.iter_mut().enumerate() {
-            *c += (packed >> (8 * j)) & 0xFF;
-        }
-    }
-
-    /// Drain the SPREAD16 pair (languages 0–7 in `lo`, 8–15 in `hi`) into
-    /// the wide counters.
-    #[inline]
-    pub(crate) fn flush_packed16(lo: u64, hi: u64, counts: &mut [u64]) {
-        for (j, c) in counts.iter_mut().enumerate() {
-            let word = if j < 8 { lo } else { hi };
-            *c += (word >> (8 * (j % 8))) & 0xFF;
-        }
-    }
-
-    /// Drain the SPREAD32 quad (languages `8w .. 8w + 8` in `packed[w]`)
-    /// into the wide counters — the `p ≤ 32` extension of the packed
-    /// byte-counter family.
-    #[inline]
-    pub(crate) fn flush_packed32(packed: &[u64; 4], counts: &mut [u64]) {
-        for (j, c) in counts.iter_mut().enumerate() {
-            *c += (packed[j / 8] >> (8 * (j % 8))) & 0xFF;
-        }
     }
 
     /// The classify hot loop: for every key, increment `counts[j]` for each
@@ -458,9 +344,9 @@ impl FilterBank {
 
     /// The fused probe entry: drain `src` through the bank, incrementing
     /// `counts[j]` for each key matching language `j`. Dispatches **once**
-    /// per batch to a loop monomorphized over the mask width
-    /// (u8/u16/u32/u64/multi-word) and, for `k ≤ 8`, the compile-time `k` —
-    /// the source's per-key state machine (e.g. the n-gram shift register)
+    /// per batch to a [`Probe`] monomorphized over the row width and the
+    /// compile-time `k` (or, for wide rows, the runtime-`k` loop) — the
+    /// source's per-key state machine (e.g. the n-gram shift register)
     /// inlines into that loop, so extraction and probe fuse into one pass
     /// with no intermediate key buffer.
     ///
@@ -473,264 +359,60 @@ impl FilterBank {
             self.languages,
             "one counter per banked language"
         );
-        if let Some(engine) = &self.simd {
-            engine.accumulate(src, counts);
-            return;
-        }
-        match &self.slices {
-            MaskSlices::W8(s) => self.dispatch_k_packed8(s, src, counts),
-            MaskSlices::W16(s) => self.dispatch_k_packed16(s, src, counts),
-            MaskSlices::W32(s) => self.dispatch_k_packed32(s, src, counts),
-            MaskSlices::W64(s) => {
-                if self.words_per_mask == 1 {
-                    self.dispatch_k(s, src, counts);
-                } else {
-                    self.accumulate_multiword(s, src, counts);
-                }
-            }
+        match &self.rows {
+            MaskRows::W8(r) => self.probe(r, src, counts),
+            MaskRows::W16(r) => self.probe(r, src, counts),
+            MaskRows::W32(r) => self.probe(r, src, counts),
+            MaskRows::W64(r) => self.probe(r, src, counts),
+            MaskRows::Wide(r) => self.accumulate_wide(r, src, counts),
         }
     }
 
-    /// Dispatch once per batch to a loop with `k` fixed at compile time:
-    /// the fused hash unrolls and the `k` mask loads issue back-to-back
-    /// with no loop-carried control flow. `k > 8` falls back to the
-    /// runtime-`k` loop (identical results).
-    fn dispatch_k<W: MaskWord, S: KeySource>(
-        &self,
-        slices: &[Box<[W]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
+    /// The const-`K` table: fix `k` at compile time so the fused hash
+    /// unrolls and the `k` row loads issue back-to-back.
+    fn probe<W: MaskWord, S: KeySource>(&self, rows: &[Box<[W]>], src: S, counts: &mut [u64]) {
         match self.params.k {
-            1 => self.accumulate_const_k::<1, W, S>(slices, src, counts),
-            2 => self.accumulate_const_k::<2, W, S>(slices, src, counts),
-            3 => self.accumulate_const_k::<3, W, S>(slices, src, counts),
-            4 => self.accumulate_const_k::<4, W, S>(slices, src, counts),
-            5 => self.accumulate_const_k::<5, W, S>(slices, src, counts),
-            6 => self.accumulate_const_k::<6, W, S>(slices, src, counts),
-            7 => self.accumulate_const_k::<7, W, S>(slices, src, counts),
-            8 => self.accumulate_const_k::<8, W, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
+            1 => self.drain::<W, 1, S>(rows, src, counts),
+            2 => self.drain::<W, 2, S>(rows, src, counts),
+            3 => self.drain::<W, 3, S>(rows, src, counts),
+            4 => self.drain::<W, 4, S>(rows, src, counts),
+            5 => self.drain::<W, 5, S>(rows, src, counts),
+            6 => self.drain::<W, 6, S>(rows, src, counts),
+            7 => self.drain::<W, 7, S>(rows, src, counts),
+            8 => self.drain::<W, 8, S>(rows, src, counts),
+            k => unreachable!("from_filters stores k = {k} > 8 as wide rows"),
         }
     }
 
-    /// Dispatch for the `p ≤ 8` (byte-mask) bank: same const-`k` table as
-    /// [`Self::dispatch_k`], but the loops accumulate into one packed
-    /// 8×8-bit counter word via [`SPREAD8`] instead of a per-set-bit
-    /// scatter loop. `k > 8` falls back to the generic runtime-`k` path.
-    fn dispatch_k_packed8<S: KeySource>(&self, slices: &[Box<[u8]>], src: S, counts: &mut [u64]) {
-        match self.params.k {
-            1 => self.accumulate_packed8::<1, S>(slices, src, counts),
-            2 => self.accumulate_packed8::<2, S>(slices, src, counts),
-            3 => self.accumulate_packed8::<3, S>(slices, src, counts),
-            4 => self.accumulate_packed8::<4, S>(slices, src, counts),
-            5 => self.accumulate_packed8::<5, S>(slices, src, counts),
-            6 => self.accumulate_packed8::<6, S>(slices, src, counts),
-            7 => self.accumulate_packed8::<7, S>(slices, src, counts),
-            8 => self.accumulate_packed8::<8, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
+    /// Drain `src` through one [`Probe`]. The dispatch level only picks how
+    /// the source is drained: AVX2 in 8-key blocks, scalar key by key.
+    fn drain<W: MaskWord, const K: usize, S: KeySource>(
+        &self,
+        rows: &[Box<[W]>],
+        src: S,
+        counts: &mut [u64],
+    ) {
+        let tables = self.simd.as_ref();
+        let mut probe = Probe::<W, K>::new(rows, &self.hashes, tables, counts);
+        match tables {
+            Some(t) => src.for_each_key_block(t.key_mask(), &mut probe),
+            None => src.for_each_key(|key| probe.key(key)),
         }
+        probe.flush();
     }
 
-    /// Dispatch for the `p ≤ 16` (u16-mask) bank: SPREAD16 — the packed
-    /// byte-counter trick of [`Self::dispatch_k_packed8`] spread across a
-    /// *pair* of packed words, one [`SPREAD8`] lookup per mask byte
-    /// (languages 0–7 in the low word, 8–15 in the high word). Same flush
-    /// cadence (every 255 keys, before any lane can wrap), same branchless
-    /// per-key update. `k > 8` falls back to the generic runtime-`k` path.
-    fn dispatch_k_packed16<S: KeySource>(&self, slices: &[Box<[u16]>], src: S, counts: &mut [u64]) {
-        match self.params.k {
-            1 => self.accumulate_packed16::<1, S>(slices, src, counts),
-            2 => self.accumulate_packed16::<2, S>(slices, src, counts),
-            3 => self.accumulate_packed16::<3, S>(slices, src, counts),
-            4 => self.accumulate_packed16::<4, S>(slices, src, counts),
-            5 => self.accumulate_packed16::<5, S>(slices, src, counts),
-            6 => self.accumulate_packed16::<6, S>(slices, src, counts),
-            7 => self.accumulate_packed16::<7, S>(slices, src, counts),
-            8 => self.accumulate_packed16::<8, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
-        }
-    }
-
-    /// Dispatch for the `p ≤ 32` (u32-mask) bank: SPREAD32 — the packed
-    /// byte-counter trick extended to a *quad* of packed words, one
-    /// [`SPREAD8`] lookup per mask byte (languages `8w .. 8w + 8` in word
-    /// `w`). Same flush cadence as the narrower paths. `k > 8` falls back
-    /// to the generic runtime-`k` path.
-    fn dispatch_k_packed32<S: KeySource>(&self, slices: &[Box<[u32]>], src: S, counts: &mut [u64]) {
-        match self.params.k {
-            1 => self.accumulate_packed32::<1, S>(slices, src, counts),
-            2 => self.accumulate_packed32::<2, S>(slices, src, counts),
-            3 => self.accumulate_packed32::<3, S>(slices, src, counts),
-            4 => self.accumulate_packed32::<4, S>(slices, src, counts),
-            5 => self.accumulate_packed32::<5, S>(slices, src, counts),
-            6 => self.accumulate_packed32::<6, S>(slices, src, counts),
-            7 => self.accumulate_packed32::<7, S>(slices, src, counts),
-            8 => self.accumulate_packed32::<8, S>(slices, src, counts),
-            _ => self.accumulate_runtime_k(slices, src, counts),
-        }
-    }
-
-    /// Hot loop for u32 masks (`p ≤ 32`) with compile-time `K`: the match
-    /// mask's four bytes index [`SPREAD8`] and four 64-bit adds bump all
-    /// thirty-two per-language byte counters — branchless per key, no
-    /// per-set-bit scatter loop. Each byte lane grows by at most 1 per
-    /// key, so the quad drains into the `u64` counters every 255 keys.
-    fn accumulate_packed32<const K: usize, S: KeySource>(
-        &self,
-        slices: &[Box<[u32]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let slices: [&[u32]; K] = std::array::from_fn(|i| &*slices[i]);
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        let mut packed = [0u64; 4];
-        let mut pending = 0u32;
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask &= slices[i][addrs[i] as usize];
-            }
-            packed[0] = packed[0].wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            packed[1] = packed[1].wrapping_add(SPREAD8[(mask >> 8 & 0xFF) as usize]);
-            packed[2] = packed[2].wrapping_add(SPREAD8[(mask >> 16 & 0xFF) as usize]);
-            packed[3] = packed[3].wrapping_add(SPREAD8[(mask >> 24) as usize]);
-            pending += 1;
-            if pending == 255 {
-                Self::flush_packed32(&packed, counts);
-                packed = [0; 4];
-                pending = 0;
-            }
-        });
-        Self::flush_packed32(&packed, counts);
-    }
-
-    /// Hot loop for u16 masks (`p ≤ 16`) with compile-time `K`: the match
-    /// mask's two bytes index [`SPREAD8`] and two 64-bit adds bump all
-    /// sixteen per-language byte counters — branchless per key, no
-    /// per-set-bit scatter loop. Each byte lane grows by at most 1 per
-    /// key, so the pair drains into the `u64` counters every 255 keys.
-    fn accumulate_packed16<const K: usize, S: KeySource>(
-        &self,
-        slices: &[Box<[u16]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let slices: [&[u16]; K] = std::array::from_fn(|i| &*slices[i]);
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        let mut pending = 0u32;
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask &= slices[i][addrs[i] as usize];
-            }
-            lo = lo.wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            hi = hi.wrapping_add(SPREAD8[(mask >> 8) as usize]);
-            pending += 1;
-            if pending == 255 {
-                Self::flush_packed16(lo, hi, counts);
-                lo = 0;
-                hi = 0;
-                pending = 0;
-            }
-        });
-        Self::flush_packed16(lo, hi, counts);
-    }
-
-    /// Hot loop for byte masks (`p ≤ 8`) with compile-time `K`: the match
-    /// mask indexes [`SPREAD8`] and one 64-bit add bumps all eight
-    /// per-language byte counters at once — branchless per key. Each byte
-    /// grows by at most 1 per key, so the packed word is drained into the
-    /// `u64` counters every 255 keys, before any byte can wrap.
-    fn accumulate_packed8<const K: usize, S: KeySource>(
-        &self,
-        slices: &[Box<[u8]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let slices: [&[u8]; K] = std::array::from_fn(|i| &*slices[i]);
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        let mut packed = 0u64;
-        let mut pending = 0u32;
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask &= slices[i][addrs[i] as usize];
-            }
-            packed = packed.wrapping_add(SPREAD8[mask as usize]);
-            pending += 1;
-            if pending == 255 {
-                Self::flush_packed8(packed, counts);
-                packed = 0;
-                pending = 0;
-            }
-        });
-        Self::flush_packed8(packed, counts);
-    }
-
-    /// Hot loop for single-element masks with compile-time `K`.
-    fn accumulate_const_k<const K: usize, W: MaskWord, S: KeySource>(
-        &self,
-        slices: &[Box<[W]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        // Hoist the Vec<Box<..>> double indirection: K flat slice views,
-        // loaded once per batch instead of twice per key.
-        let slices: [&[W]; K] = std::array::from_fn(|i| &*slices[i]);
-        // Resolve the const-K fused hash view once per batch: no per-key
-        // lazy-init or K == k check inside the loop.
-        let hashes = self.hashes.fused_evaluator_k::<K>();
-        src.for_each_key(|key| {
-            let addrs: [u32; K] = hashes.hash_all_array(key);
-            let mut mask = slices[0][addrs[0] as usize];
-            for i in 1..K {
-                mask = mask.and(slices[i][addrs[i] as usize]);
-            }
-            Self::scatter_add(mask.to_u64(), 0, counts);
-        });
-    }
-
-    /// Single-element masks with runtime `k` (`k > 8`).
-    fn accumulate_runtime_k<W: MaskWord, S: KeySource>(
-        &self,
-        slices: &[Box<[W]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
-        let mut addrs = vec![0u32; self.params.k];
-        let hashes = self.hashes.fused_evaluator();
-        src.for_each_key(|key| {
-            hashes.hash_all_into(key, &mut addrs);
-            let mut mask = slices[0][addrs[0] as usize];
-            for (i, &a) in addrs.iter().enumerate().skip(1) {
-                mask = mask.and(slices[i][a as usize]);
-            }
-            Self::scatter_add(mask.to_u64(), 0, counts);
-        });
-    }
-
-    /// Multi-word masks (`p > 64`), runtime `k`.
-    fn accumulate_multiword<S: KeySource>(
-        &self,
-        slices: &[Box<[u64]>],
-        src: S,
-        counts: &mut [u64],
-    ) {
+    /// The one fallback, for wide rows (`p > 64` or `k > 8`): runtime `k`,
+    /// `words_per_mask` words per entry (`1` for `k > 8`, `p ≤ 64`).
+    fn accumulate_wide<S: KeySource>(&self, rows: &[Box<[u64]>], src: S, counts: &mut [u64]) {
         let wpm = self.words_per_mask;
         let mut addrs = vec![0u32; self.params.k];
         let mut mask = vec![0u64; wpm];
         let hashes = self.hashes.fused_evaluator();
         src.for_each_key(|key| {
             hashes.hash_all_into(key, &mut addrs);
-            if Self::and_reduce(slices, wpm, &addrs, &mut mask) {
+            if Self::and_reduce(rows, wpm, &addrs, &mut mask) {
                 for (w, &word) in mask.iter().enumerate() {
-                    Self::scatter_add(word, w * 64, counts);
+                    scatter_add(word, w * 64, counts);
                 }
             }
         });
@@ -739,10 +421,10 @@ impl FilterBank {
     /// AND-reduce the `k` per-hash multi-word masks at `addrs` into `mask`;
     /// returns whether any language survived.
     #[inline]
-    fn and_reduce(slices: &[Box<[u64]>], wpm: usize, addrs: &[u32], mask: &mut [u64]) -> bool {
+    fn and_reduce(rows: &[Box<[u64]>], wpm: usize, addrs: &[u32], mask: &mut [u64]) -> bool {
         debug_assert_eq!(mask.len(), wpm);
         let base = addrs[0] as usize * wpm;
-        mask.copy_from_slice(&slices[0][base..base + wpm]);
+        mask.copy_from_slice(&rows[0][base..base + wpm]);
         let mut alive = mask.iter().any(|&w| w != 0);
         for (i, &addr) in addrs.iter().enumerate().skip(1) {
             if !alive {
@@ -750,12 +432,24 @@ impl FilterBank {
             }
             let base = addr as usize * wpm;
             alive = false;
-            for (m, &s) in mask.iter_mut().zip(&slices[i][base..base + wpm]) {
+            for (m, &s) in mask.iter_mut().zip(&rows[i][base..base + wpm]) {
                 *m &= s;
                 alive |= *m != 0;
             }
         }
         alive
+    }
+}
+
+/// Scatter-add one mask word's set bits into the counters: bit `b` of
+/// `mask` increments `counts[bit_base + b]`. The count-on-match semantics
+/// for masks too wide for packed byte counters.
+#[inline]
+pub(crate) fn scatter_add(mask: u64, bit_base: usize, counts: &mut [u64]) {
+    let mut mask = mask;
+    while mask != 0 {
+        counts[bit_base + mask.trailing_zeros() as usize] += 1;
+        mask &= mask - 1;
     }
 }
 
@@ -856,38 +550,33 @@ mod tests {
     }
 
     #[test]
-    fn packed8_flush_boundary_is_exact() {
-        // The byte-mask path drains its packed counters every 255 keys;
-        // key streams crossing that boundary (and hitting it exactly) must
-        // still equal the naive per-language walk.
+    fn flush_boundary_is_exact_at_both_levels() {
+        // The packed byte counters drain every 248 keys. Streams crossing
+        // that point, or ending on it, must equal the naive walk for u8,
+        // u16 and u32 rows at both dispatch levels. Keys programmed into
+        // every language bump every byte lane on each key, so a late drain
+        // would wrap a lane; random keys give partial matches.
         let params = BloomParams::new(4, 10);
-        let (filters, bank) = bank_fixture(8, params, 400, 7);
         let mut rng = SmallRng::seed_from_u64(99);
-        for n in [254usize, 255, 256, 510, 511, 1021] {
-            let keys: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
-            let mut banked = vec![0u64; 8];
-            bank.accumulate_keys(keys.iter().copied(), &mut banked);
-            assert_eq!(banked, naive_counts(&filters, &keys), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn packed16_flush_boundary_is_exact() {
-        // The u16-mask path (SPREAD16) drains its packed counter pair
-        // every 255 keys; key streams crossing that boundary (and hitting
-        // it exactly) must still equal the naive per-language walk — for
-        // language counts on both sides of the byte split (p ≤ 8 uses the
-        // low word only, p > 8 both).
-        let params = BloomParams::new(4, 10);
-        for p in [9usize, 12, 16] {
-            let (filters, bank) = bank_fixture(p, params, 400, 11);
-            assert_eq!(bank.mask_entry_bits(), 16, "p = {p} must take the u16 bank");
-            let mut rng = SmallRng::seed_from_u64(101);
-            for n in [254usize, 255, 256, 510, 511, 1021] {
-                let keys: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
-                let mut banked = vec![0u64; p];
-                bank.accumulate_keys(keys.iter().copied(), &mut banked);
-                assert_eq!(banked, naive_counts(&filters, &keys), "p = {p}, n = {n}");
+        let shared: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
+        for p in [8usize, 12, 16, 17, 20, 32] {
+            let (mut filters, _) = bank_fixture(p, params, 200, 7 + p as u64);
+            for f in &mut filters {
+                f.program_all(shared.iter().copied());
+            }
+            let mut bank = FilterBank::from_filters(&filters);
+            for n in [247usize, 248, 249, 254, 255, 256, 496, 1021] {
+                let all_match: Vec<u64> = (0..n).map(|i| shared[i % shared.len()]).collect();
+                let random: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
+                for keys in [all_match, random] {
+                    let naive = naive_counts(&filters, &keys);
+                    for level in [SimdLevel::Scalar, SimdLevel::detect()] {
+                        bank.set_simd_level(level);
+                        let mut banked = vec![0u64; p];
+                        bank.accumulate_keys(keys.iter().copied(), &mut banked);
+                        assert_eq!(banked, naive, "p = {p}, n = {n}, {level}");
+                    }
+                }
             }
         }
     }
@@ -920,19 +609,22 @@ mod tests {
 
         /// Banked accumulation must equal the naive per-language loop for
         /// any p — every mask width (u8/u16/u32/u64) and the multi-word
-        /// boundary (p > 64) — any key set, and any query set.
+        /// boundary (p > 64) — k on both sides of the const-K table, any key
+        /// set, and any query set.
         #[test]
         fn banked_counts_equal_naive(
             p in prop_p(), seed in any::<u64>(),
             queries in proptest::collection::vec(any::<u64>(), 0..200),
         ) {
             // Small vectors (m = 256) so collisions and partial matches are
-            // common — the interesting regime for equivalence.
-            let params = BloomParams::new(3, 8);
-            let (filters, bank) = bank_fixture(p, params, 60, seed);
-            let mut banked = vec![0u64; p];
-            bank.accumulate_keys(queries.iter().copied(), &mut banked);
-            prop_assert_eq!(banked, naive_counts(&filters, &queries));
+            // common — the interesting regime for equivalence. k = 9 takes
+            // the runtime-k loop at every p.
+            for k in [3, 9] {
+                let (filters, bank) = bank_fixture(p, BloomParams::new(k, 8), 60, seed);
+                let mut banked = vec![0u64; p];
+                bank.accumulate_keys(queries.iter().copied(), &mut banked);
+                prop_assert_eq!(banked, naive_counts(&filters, &queries), "k = {}", k);
+            }
         }
 
         /// A push-style KeySource (the fused extraction shape) accumulates

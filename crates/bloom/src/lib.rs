@@ -16,9 +16,12 @@
 //! * [`ParallelBloomFilter`] — the paper's structure: `k` H3 functions, `k`
 //!   bit-vectors. One per language; the canonical representation.
 //! * [`FilterBank`] — the **bit-sliced** multi-language query engine: all
-//!   languages' vectors transposed so one n-gram tests against every
-//!   language with `k` loads and one AND, mirroring the hardware's fan-out
-//!   (see the [`bank`](FilterBank) module docs).
+//!   languages' vectors transposed once into `k` mask rows so one n-gram
+//!   tests against every language with `k` loads and one AND, mirroring
+//!   the hardware's fan-out (see the [`bank`](FilterBank) module docs).
+//!   One generic probe serves both dispatch levels over those rows: the
+//!   scalar loop takes keys one at a time, the AVX2 path takes 8-key
+//!   blocks ([`KeySource`], [`KeyBlockSink`]).
 //! * [`ClassicBloomFilter`] — the textbook single-vector construction, kept
 //!   as a comparison point.
 //! * [`BloomParams`] / [`analysis`] — parameter handling and the paper's
@@ -36,7 +39,6 @@ pub mod analysis;
 mod bank;
 mod bitvec;
 mod classic;
-mod counting;
 mod parallel;
 mod params;
 mod simd;
@@ -44,7 +46,6 @@ mod simd;
 pub use bank::{FilterBank, KeyBlockSink, KeySource, KEY_BLOCK_LANES};
 pub use bitvec::BitVector;
 pub use classic::ClassicBloomFilter;
-pub use counting::{CountingBloomFilter, COUNTER_BITS, COUNTER_MAX};
 pub use lc_hash::SimdLevel;
 pub use parallel::ParallelBloomFilter;
 pub use params::{BloomParams, M4K_BITS};

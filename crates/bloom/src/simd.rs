@@ -1,599 +1,321 @@
-//! The AVX2 probe engine: 8 keys hash→gather→AND-reduce→count per
-//! iteration, plus 256-bit AND-reduction for multi-word (`p > 64`) masks.
+//! The probe engine: one [`Probe`] per (mask width, `k`) drains a key
+//! source through the bank's stored mask rows at either dispatch level.
 //!
 //! # Shape
 //!
-//! [`Avx2Probe`] is the vector twin of the scalar loops in
-//! [`crate::FilterBank`], built **once per classifier** (never per call)
-//! when [`lc_hash::SimdLevel`] dispatch lands on AVX2 and the bank shape
-//! has a vector fast path:
+//! [`Probe`] is a [`KeyBlockSink`] monomorphized over the row element `W`
+//! ([`MaskWord`]: `u8`/`u16`/`u32`/`u64`) and the compile-time `K`:
 //!
-//! * `p ≤ 64`, `k ≤ 8`, keys ≤ 32 bits — the blocked pipeline: the key
-//!   source delivers 8-key blocks ([`KeySource::for_each_key_block`]), the
-//!   transposed H3 evaluator ([`lc_hash::simd::hash8`]) produces 8 addresses
-//!   per hash function, one `vpgatherdd`/`vpgatherqq` per function pulls the
-//!   8 language masks, and the AND-reduce across `k` runs in registers. A
-//!   `vptest` skips the count stage for all-miss blocks. Counting drains
-//!   through the same SPREAD8 packed byte counters as the scalar path.
-//! * `p > 64` (multi-word masks, any `k`) — hashing stays scalar, but each
-//!   key's `ceil(p/64)` mask words AND-reduce in 256-bit lanes over rows
-//!   padded to a multiple of 4 words, with a `vptest` early-out per lane.
+//! * `key` — the scalar body: fused H3 of one key, `K` row loads, one
+//!   AND-reduce, count.
+//! * `block` — the AVX2 body for 8 keys of at most 32 bits: the transposed
+//!   H3 evaluator ([`lc_hash::simd::hash8`]) yields 8 addresses per hash
+//!   function, one [`MaskWord::gather`] per function pulls the 8 masks
+//!   (`vpgatherdd` at scale 1, 2 or 4, or two `vpgatherqq` halves for
+//!   `u64`), the AND-reduce runs in registers, and a `vptest` skips the
+//!   count for all-miss blocks.
 //!
-//! Anything else (k > 8, keys wider than 32 bits) keeps the scalar loops,
-//! and [`crate::FilterBank::simd_level`] honestly reports `scalar`.
+//! Both bodies count through [`MaskWord::count`]: `u8`/`u16`/`u32` masks
+//! index [`SPREAD8`] once per mask byte and add into packed byte counters
+//! (one byte lane per language), drained into the `u64` counters every
+//! [`FLUSH_AT`] keys; `u64` masks scatter-add. The dispatch level only
+//! decides how the bank drains its source: AVX2 hands the probe to
+//! [`crate::KeySource::for_each_key_block`], scalar calls `key` per key.
 //!
-//! The engine owns padded copies of the probe slices (u8 rows +3 bytes,
-//! u16 rows +2 entries) so the dword gathers at the last addresses stay in
-//! bounds; the scalar bank slices remain untouched and authoritative.
+//! Both levels read the same rows: the bank stores each row once, with
+//! [`MaskWord::PAD`] zero entries after the last address so a 4-byte
+//! gather there stays in bounds. Shapes without a probe (`k > 8`,
+//! `p > 64`) run the bank's runtime-`k` loop, and
+//! [`crate::FilterBank::simd_level`] reports `scalar` for them.
 //!
 //! # Equivalence
 //!
-//! Every path here is pinned against the scalar loops (and the naive
-//! per-language filters) by `tests/bank_equivalence.rs` proptests across
+//! Both bodies are pinned against each other and against the naive
+//! per-language filters by `tests/bank_equivalence.rs` proptests across
 //! all mask widths, tails not divisible by 8, and arbitrary chunkings.
 
 #![allow(unsafe_code)]
 
+use crate::bank::{scatter_add, KeyBlockSink, KEY_BLOCK_LANES};
+use lc_hash::{FusedEvaluatorK, H3Family, SimdLevel, TransposedTables};
+use std::ops::BitAndAssign;
+
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::Avx2Probe;
+use core::arch::x86_64::{
+    __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_extracti128_si256,
+    _mm256_i32gather_epi32, _mm256_i32gather_epi64, _mm256_loadu_si256, _mm256_or_si256,
+    _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_storeu_si256, _mm256_testz_si256,
+};
 
-/// Uninhabited placeholder off x86-64: the engine can never be built, so
-/// `FilterBank` always reports (and runs) scalar there.
-#[cfg(not(target_arch = "x86_64"))]
-#[derive(Clone, Debug)]
-pub(crate) enum Avx2Probe {}
+/// Drain the packed byte counters after this many pending keys: each byte
+/// lane grows by at most 1 per key and blocks add 8 keys at a time, so
+/// draining at 248 (the largest multiple of 8 that is ≤ 255) means no lane
+/// ever wraps.
+const FLUSH_AT: u32 = 248;
 
-#[cfg(not(target_arch = "x86_64"))]
-impl Avx2Probe {
-    pub(crate) fn build(_bank: &crate::FilterBank) -> Option<Self> {
-        None
+/// `SPREAD8[m]` has byte `j` equal to bit `j` of `m`: one table load turns
+/// 8 language bits into eight 0/1 byte increments, so counting a mask byte
+/// is a single 64-bit add — no per-set-bit branch loop.
+pub(crate) static SPREAD8: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut m = 0usize;
+    while m < 256 {
+        let mut v = 0u64;
+        let mut j = 0;
+        while j < 8 {
+            if m >> j & 1 == 1 {
+                v |= 1u64 << (8 * j);
+            }
+            j += 1;
+        }
+        t[m] = v;
+        m += 1;
+    }
+    t
+};
+
+/// A mask row element: language masks are stored at the narrowest width
+/// that holds `p` bits.
+pub(crate) trait MaskWord: Copy + Default + BitAndAssign + Into<u64> {
+    /// Zero entries after a row's last address, so a 4-byte gather there
+    /// reads inside the row (3 for `u8`, 1 for `u16`, none for wider).
+    const PAD: usize = 4usize.saturating_sub(size_of::<Self>()) / size_of::<Self>();
+
+    /// Packed byte counters: one [`SPREAD8`] word per mask byte, none for
+    /// `u64` (too wide; it scatter-adds).
+    type Packed: Copy + Default + AsRef<[u64]>;
+
+    /// Set bit `j`.
+    fn set_bit(&mut self, j: usize);
+
+    /// Count one match mask: bit `j` set means language `j` matched.
+    fn count(mask: u64, packed: &mut Self::Packed, counts: &mut [u64]);
+
+    /// Gather the masks at the 8 addresses `addrs[i]` from each row
+    /// `rows[i]` and AND-reduce them across the `K` rows; `None` when all
+    /// eight results are zero.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and every lane of `addrs[i]` must be a
+    /// non-negative index below `rows[i].len() - Self::PAD`.
+    #[cfg(target_arch = "x86_64")]
+    // safety: the contract above is the caller's to uphold.
+    unsafe fn gather<const K: usize>(rows: &[&[Self]; K], addrs: &[__m256i; K])
+        -> Option<[u64; 8]>;
+}
+
+/// `u8`/`u16`/`u32` rows: SPREAD8 packed counting, one `vpgatherdd` per row
+/// at the element's scale, with the bytes read past the entry masked off.
+macro_rules! packed_mask_word {
+    ($t:ty, $bytes:literal, $scale:literal) => {
+        impl MaskWord for $t {
+            type Packed = [u64; $bytes];
+
+            fn set_bit(&mut self, j: usize) {
+                *self |= 1 << j;
+            }
+
+            #[inline]
+            fn count(mask: u64, packed: &mut Self::Packed, _: &mut [u64]) {
+                for (b, word) in packed.iter_mut().enumerate() {
+                    *word = word.wrapping_add(SPREAD8[(mask >> (8 * b) & 0xFF) as usize]);
+                }
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            #[inline]
+            // safety: the trait's contract is the caller's to uphold.
+            unsafe fn gather<const K: usize>(
+                rows: &[&[Self]; K],
+                addrs: &[__m256i; K],
+            ) -> Option<[u64; 8]> {
+                let mut m = _mm256_set1_epi32(<$t>::MAX as i32);
+                for (row, &a) in rows.iter().zip(addrs) {
+                    // safety: each lane is an index below len - PAD, so the
+                    // 4-byte read at byte offset $scale·index ends inside
+                    // the row; the tail bytes it picks up are masked off.
+                    let v = unsafe { _mm256_i32gather_epi32::<$scale>(row.as_ptr().cast(), a) };
+                    m = _mm256_and_si256(m, v);
+                }
+                if _mm256_testz_si256(m, m) != 0 {
+                    return None;
+                }
+                let mut lanes = [0u32; 8];
+                // safety: lanes is exactly 32 bytes; storeu needs no alignment.
+                unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), m) };
+                Some(lanes.map(u64::from))
+            }
+        }
+    };
+}
+packed_mask_word!(u8, 1, 1);
+packed_mask_word!(u16, 2, 2);
+packed_mask_word!(u32, 4, 4);
+
+impl MaskWord for u64 {
+    type Packed = [u64; 0];
+
+    fn set_bit(&mut self, j: usize) {
+        *self |= 1 << j;
     }
 
-    pub(crate) fn accumulate<S: crate::KeySource>(&self, _src: S, _counts: &mut [u64]) {
-        match *self {}
+    #[inline]
+    fn count(mask: u64, _: &mut [u64; 0], counts: &mut [u64]) {
+        scatter_add(mask, 0, counts);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    // safety: the trait's contract is the caller's to uphold.
+    unsafe fn gather<const K: usize>(rows: &[&[u64]; K], addrs: &[__m256i; K]) -> Option<[u64; 8]> {
+        let mut halves = [_mm256_set1_epi64x(-1); 2];
+        for (row, &a) in rows.iter().zip(addrs) {
+            let idx = [_mm256_castsi256_si128(a), _mm256_extracti128_si256::<1>(a)];
+            for (h, idx) in halves.iter_mut().zip(idx) {
+                // safety: each lane is an index below len (PAD is 0), and
+                // an 8-byte read at byte offset 8·index is that one entry.
+                let v = unsafe { _mm256_i32gather_epi64::<8>(row.as_ptr().cast(), idx) };
+                *h = _mm256_and_si256(*h, v);
+            }
+        }
+        let any = _mm256_or_si256(halves[0], halves[1]);
+        if _mm256_testz_si256(any, any) != 0 {
+            return None;
+        }
+        let mut out = [0u64; 8];
+        for (o, h) in out.chunks_exact_mut(4).zip(halves) {
+            // safety: o is exactly 32 bytes; storeu needs no alignment.
+            unsafe { _mm256_storeu_si256(o.as_mut_ptr().cast(), h) };
+        }
+        Some(out)
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use crate::bank::{FilterBank, KeyBlockSink, KeySource, MaskSlices, KEY_BLOCK_LANES, SPREAD8};
-    use core::arch::x86_64::{
-        __m128i, __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_extracti128_si256,
-        _mm256_i32gather_epi32, _mm256_i32gather_epi64, _mm256_loadu_si256, _mm256_set1_epi32,
-        _mm256_storeu_si256, _mm256_testz_si256,
-    };
-    use lc_hash::{FusedEvaluatorK, H3Family, SimdLevel, TransposedTables};
+/// One drain of a key source through `K` mask rows of width `W`: scalar
+/// keys through [`KeyBlockSink::key`], 8-key blocks through
+/// [`KeyBlockSink::block`]. See the [module docs](self).
+pub(crate) struct Probe<'a, W: MaskWord, const K: usize> {
+    rows: [&'a [W]; K],
+    eval: FusedEvaluatorK<'a, K>,
+    /// The block path's hash tables; `Some` only on a CPU with AVX2
+    /// (asserted in [`Probe::new`]). The bank drains blocks into a probe
+    /// only when they are set.
+    tables: Option<&'a TransposedTables>,
+    /// `m - 1`: every gathered address is masked with it.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    addr_mask: i32,
+    counts: &'a mut [u64],
+    packed: W::Packed,
+    pending: u32,
+}
 
-    /// Flush the packed byte counters after this many pending keys: each
-    /// byte lane grows by at most 1 per key, and blocks arrive 8 keys at a
-    /// time, so draining at 248 (= 255 rounded down to a block multiple)
-    /// guarantees no lane ever wraps.
-    const FLUSH_AT: u32 = 248;
-
-    /// The per-classifier AVX2 probe engine. See the [module docs](super).
-    #[derive(Clone, Debug)]
-    pub(crate) enum Avx2Probe {
-        /// `p ≤ 64`, `k ≤ 8`, ≤ 32-bit keys: the blocked 8-lane pipeline.
-        Block(BlockProbe),
-        /// `p > 64`: scalar hash, 256-bit AND-reduce over padded mask rows.
-        Multi(MultiProbe),
-    }
-
-    impl Avx2Probe {
-        /// Build the engine for `bank`'s shape, or `None` when the CPU has
-        /// no AVX2 or the shape has no vector fast path.
-        pub(crate) fn build(bank: &crate::FilterBank) -> Option<Self> {
-            if !SimdLevel::cpu_has_avx2() {
-                return None;
-            }
-            let family = bank.hashes().clone();
-            let tables = family.transposed_tables();
-            let eligible = tables.avx2_eligible();
-            match bank.mask_slices() {
-                MaskSlices::W8(s) if eligible => Some(Self::Block(BlockProbe {
-                    family,
-                    tables,
-                    width: PaddedSlices::W8(s.iter().map(|s| pad_bytes(s, 3)).collect()),
-                })),
-                MaskSlices::W16(s) if eligible => Some(Self::Block(BlockProbe {
-                    family,
-                    tables,
-                    width: PaddedSlices::W16(s.iter().map(|s| pad_words(s, 1)).collect()),
-                })),
-                MaskSlices::W32(s) if eligible => Some(Self::Block(BlockProbe {
-                    family,
-                    tables,
-                    width: PaddedSlices::W32(s.iter().map(|s| s.to_vec()).collect()),
-                })),
-                MaskSlices::W64(s) if bank.words_per_mask() == 1 && eligible => {
-                    Some(Self::Block(BlockProbe {
-                        family,
-                        tables,
-                        width: PaddedSlices::W64(s.iter().map(|s| s.to_vec()).collect()),
-                    }))
-                }
-                MaskSlices::W64(s) if bank.words_per_mask() > 1 => Some(Self::Multi(
-                    MultiProbe::build(family, bank.words_per_mask(), s),
-                )),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            match self {
-                Avx2Probe::Block(b) => b.accumulate(src, counts),
-                Avx2Probe::Multi(m) => m.accumulate(src, counts),
-            }
-        }
-    }
-
-    /// Copy a byte slice with `pad` trailing zero bytes so a 4-byte gather
-    /// at the last valid address stays in bounds.
-    fn pad_bytes(s: &[u8], pad: usize) -> Vec<u8> {
-        let mut v = Vec::with_capacity(s.len() + pad);
-        v.extend_from_slice(s);
-        v.resize(s.len() + pad, 0);
-        v
-    }
-
-    /// Copy a u16 slice with `pad` trailing zero entries (a 4-byte gather
-    /// at the last address reads 2 bytes past the entry).
-    fn pad_words(s: &[u16], pad: usize) -> Vec<u16> {
-        let mut v = Vec::with_capacity(s.len() + pad);
-        v.extend_from_slice(s);
-        v.resize(s.len() + pad, 0);
-        v
-    }
-
-    /// Padded per-width probe copies (one row per hash function).
-    #[derive(Clone, Debug)]
-    enum PaddedSlices {
-        W8(Vec<Vec<u8>>),
-        W16(Vec<Vec<u16>>),
-        W32(Vec<Vec<u32>>),
-        W64(Vec<Vec<u64>>),
-    }
-
-    /// The blocked 8-lane pipeline (`p ≤ 64`).
-    #[derive(Clone, Debug)]
-    pub(crate) struct BlockProbe {
-        family: H3Family,
-        tables: TransposedTables,
-        width: PaddedSlices,
-    }
-
-    impl BlockProbe {
-        fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            match self.tables.k() {
-                1 => self.run::<1, S>(src, counts),
-                2 => self.run::<2, S>(src, counts),
-                3 => self.run::<3, S>(src, counts),
-                4 => self.run::<4, S>(src, counts),
-                5 => self.run::<5, S>(src, counts),
-                6 => self.run::<6, S>(src, counts),
-                7 => self.run::<7, S>(src, counts),
-                8 => self.run::<8, S>(src, counts),
-                _ => unreachable!("build() only admits k in 1..=8"),
-            }
-        }
-
-        fn run<const K: usize, S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            let key_mask = self.tables.key_mask();
-            let eval = self.family.fused_evaluator_k::<K>();
-            match &self.width {
-                PaddedSlices::W8(s) => {
-                    let mut sink = Sink8::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                        packed: 0,
-                        pending: 0,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                    sink.flush();
-                }
-                PaddedSlices::W16(s) => {
-                    let mut sink = Sink16::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                        lo: 0,
-                        hi: 0,
-                        pending: 0,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                    sink.flush();
-                }
-                PaddedSlices::W32(s) => {
-                    let mut sink = Sink32::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                        packed: [0; 4],
-                        pending: 0,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                    sink.flush();
-                }
-                PaddedSlices::W64(s) => {
-                    let mut sink = Sink64::<K> {
-                        tables: &self.tables,
-                        slices: std::array::from_fn(|i| s[i].as_slice()),
-                        eval,
-                        counts,
-                    };
-                    src.for_each_key_block(key_mask, &mut sink);
-                }
-            }
-        }
-    }
-
-    /// Gather the 8 byte-wide masks at `addrs` from a padded u8 row.
-    #[target_feature(enable = "avx2")]
-    fn gather_u8(slice: &[u8], addrs: __m256i) -> __m256i {
-        // safety: every addr lane is < m (H3 output width) and the row
-        // holds m + 3 bytes, so each 4-byte gather at byte offset `addr`
-        // stays inside the allocation; the pad bytes are masked off below.
-        let v = unsafe { _mm256_i32gather_epi32::<1>(slice.as_ptr().cast::<i32>(), addrs) };
-        _mm256_and_si256(v, _mm256_set1_epi32(0xFF))
-    }
-
-    /// Gather the 8 u16-wide masks at `addrs` from a padded u16 row.
-    #[target_feature(enable = "avx2")]
-    fn gather_u16(slice: &[u16], addrs: __m256i) -> __m256i {
-        // safety: addr < m and the row holds m + 1 entries, so each 4-byte
-        // gather at byte offset 2·addr stays inside the allocation; the pad
-        // entry is masked off below.
-        let v = unsafe { _mm256_i32gather_epi32::<2>(slice.as_ptr().cast::<i32>(), addrs) };
-        _mm256_and_si256(v, _mm256_set1_epi32(0xFFFF))
-    }
-
-    /// Gather the 8 u32-wide masks at `addrs` (exact-width reads, no pad).
-    #[target_feature(enable = "avx2")]
-    fn gather_u32(slice: &[u32], addrs: __m256i) -> __m256i {
-        // safety: addr < m = slice.len(), and a 4-byte gather at byte
-        // offset 4·addr reads exactly one in-bounds entry.
-        unsafe { _mm256_i32gather_epi32::<4>(slice.as_ptr().cast::<i32>(), addrs) }
-    }
-
-    /// Gather 4 u64-wide masks at the four i32 addresses in `addrs`.
-    #[target_feature(enable = "avx2")]
-    fn gather_u64(slice: &[u64], addrs: __m128i) -> __m256i {
-        // safety: addr < m = slice.len(), and an 8-byte gather at byte
-        // offset 8·addr reads exactly one in-bounds entry.
-        unsafe { _mm256_i32gather_epi64::<8>(slice.as_ptr().cast::<i64>(), addrs) }
-    }
-
-    /// Store the 8 u32 lanes of `v`.
-    #[target_feature(enable = "avx2")]
-    fn lanes_u32(v: __m256i) -> [u32; 8] {
-        let mut out = [0u32; 8];
-        // safety: out is exactly 32 bytes; storeu needs no alignment.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
-        out
-    }
-
-    /// Store the 4 u64 lanes of `v`.
-    #[target_feature(enable = "avx2")]
-    fn lanes_u64(v: __m256i) -> [u64; 4] {
-        let mut out = [0u64; 4];
-        // safety: out is exactly 32 bytes; storeu needs no alignment.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
-        out
-    }
-
-    /// `p ≤ 8` sink: one packed SPREAD8 counter word, like the scalar
-    /// `accumulate_packed8`, fed by 8-lane gathered masks.
-    struct Sink8<'a, const K: usize> {
-        tables: &'a TransposedTables,
-        slices: [&'a [u8]; K],
-        eval: FusedEvaluatorK<'a, K>,
+impl<'a, W: MaskWord, const K: usize> Probe<'a, W, K> {
+    /// A probe of `rows` (one per function of `hashes`) counting into
+    /// `counts`; `tables` enables the AVX2 block path. Call
+    /// [`Self::flush`] when the source is drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are `K` rows of at least `m + W::PAD` entries
+    /// (`m = 2^output_bits`), and, when `tables` is given, unless it holds
+    /// `K` AVX2-eligible functions, `m ≤ 2^31`, and the CPU has AVX2.
+    pub(crate) fn new(
+        rows: &'a [Box<[W]>],
+        hashes: &'a H3Family,
+        tables: Option<&'a TransposedTables>,
         counts: &'a mut [u64],
-        packed: u64,
-        pending: u32,
-    }
-
-    impl<const K: usize> Sink8<'_, K> {
-        fn flush(&mut self) {
-            FilterBank::flush_packed8(self.packed, self.counts);
-            self.packed = 0;
-            self.pending = 0;
+    ) -> Self {
+        let m = 1usize << hashes.output_bits();
+        assert!(
+            rows.len() == K && rows.iter().all(|r| r.len() >= m + W::PAD),
+            "a probe needs K rows of m + PAD entries"
+        );
+        if let Some(t) = tables {
+            assert!(
+                t.k() == K && t.avx2_eligible() && m <= 1 << 31 && SimdLevel::cpu_has_avx2(),
+                "block path needs AVX2, K eligible functions and 31-bit addresses"
+            );
         }
-
-        #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            let mut m = gather_u8(self.slices[0], addrs[0]);
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                m = _mm256_and_si256(m, gather_u8(s, a));
-            }
-            if _mm256_testz_si256(m, m) == 0 {
-                for l in lanes_u32(m) {
-                    self.packed = self.packed.wrapping_add(SPREAD8[l as usize]);
-                }
-            }
-            self.pending += KEY_BLOCK_LANES as u32;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
+        Self {
+            rows: std::array::from_fn(|i| &*rows[i]),
+            eval: hashes.fused_evaluator_k::<K>(),
+            tables,
+            addr_mask: (m - 1) as i32,
+            counts,
+            packed: W::Packed::default(),
+            pending: 0,
         }
     }
 
-    impl<const K: usize> KeyBlockSink for Sink8<'_, K> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
+    /// Drain the packed byte counters into the `u64` counters: byte `j % 8`
+    /// of word `j / 8` holds language `j`'s pending count.
+    pub(crate) fn flush(&mut self) {
+        let packed = self.packed;
+        let lanes = 8 * packed.as_ref().len();
+        for (j, c) in self.counts.iter_mut().enumerate().take(lanes) {
+            *c += packed.as_ref()[j / 8] >> (8 * (j % 8)) & 0xFF;
         }
+        self.packed = W::Packed::default();
+        self.pending = 0;
+    }
 
-        fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            self.packed = self.packed.wrapping_add(SPREAD8[mask as usize]);
-            self.pending += 1;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
+    #[inline]
+    fn advance(&mut self, keys: u32) {
+        self.pending += keys;
+        if self.pending >= FLUSH_AT {
+            self.flush();
         }
     }
 
-    /// `p ≤ 16` sink: the SPREAD16 packed pair, fed by 8-lane gathers.
-    struct Sink16<'a, const K: usize> {
-        tables: &'a TransposedTables,
-        slices: [&'a [u16]; K],
-        eval: FusedEvaluatorK<'a, K>,
-        counts: &'a mut [u64],
-        lo: u64,
-        hi: u64,
-        pending: u32,
+    /// The AVX2 body: hash8, gather, AND, `vptest` skip, count.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn block_avx2(&mut self, tables: &TransposedTables, keys: &[u32; KEY_BLOCK_LANES]) {
+        // safety: keys is exactly 32 bytes; loadu needs no alignment.
+        let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
+        let mut addrs = lc_hash::simd::hash8::<K>(tables, kv);
+        let addr_mask = _mm256_set1_epi32(self.addr_mask);
+        for a in &mut addrs {
+            *a = _mm256_and_si256(*a, addr_mask);
+        }
+        // safety: AVX2 is enabled here, and every lane was just masked to
+        // 0..m, below each row's m + PAD entries (asserted in `new`).
+        if let Some(masks) = unsafe { W::gather(&self.rows, &addrs) } {
+            for mask in masks {
+                W::count(mask, &mut self.packed, self.counts);
+            }
+        }
+        self.advance(KEY_BLOCK_LANES as u32);
+    }
+}
+
+impl<W: MaskWord, const K: usize> KeyBlockSink for Probe<'_, W, K> {
+    #[inline]
+    fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
+        let tables = self
+            .tables
+            .expect("blocks drain only into a probe with AVX2 tables");
+        #[cfg(target_arch = "x86_64")]
+        // safety: `new` asserted that this CPU has AVX2 whenever `tables`
+        // is set; the feature cannot disappear at runtime.
+        unsafe {
+            self.block_avx2(tables, keys)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (tables, keys);
     }
 
-    impl<const K: usize> Sink16<'_, K> {
-        fn flush(&mut self) {
-            FilterBank::flush_packed16(self.lo, self.hi, self.counts);
-            self.lo = 0;
-            self.hi = 0;
-            self.pending = 0;
+    #[inline]
+    fn key(&mut self, key: u64) {
+        let addrs: [u32; K] = self.eval.hash_all_array(key);
+        let mut mask = self.rows[0][addrs[0] as usize];
+        for (row, &a) in self.rows[1..].iter().zip(&addrs[1..]) {
+            mask &= row[a as usize];
         }
-
-        #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            let mut m = gather_u16(self.slices[0], addrs[0]);
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                m = _mm256_and_si256(m, gather_u16(s, a));
-            }
-            if _mm256_testz_si256(m, m) == 0 {
-                for l in lanes_u32(m) {
-                    self.lo = self.lo.wrapping_add(SPREAD8[(l & 0xFF) as usize]);
-                    self.hi = self.hi.wrapping_add(SPREAD8[(l >> 8) as usize]);
-                }
-            }
-            self.pending += KEY_BLOCK_LANES as u32;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    impl<const K: usize> KeyBlockSink for Sink16<'_, K> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
-        }
-
-        fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            self.lo = self.lo.wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            self.hi = self.hi.wrapping_add(SPREAD8[(mask >> 8) as usize]);
-            self.pending += 1;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    /// `p ≤ 32` sink: four packed SPREAD8 words (the scalar `packed32`
-    /// path), fed by exact-width 8-lane gathers.
-    struct Sink32<'a, const K: usize> {
-        tables: &'a TransposedTables,
-        slices: [&'a [u32]; K],
-        eval: FusedEvaluatorK<'a, K>,
-        counts: &'a mut [u64],
-        packed: [u64; 4],
-        pending: u32,
-    }
-
-    impl<const K: usize> Sink32<'_, K> {
-        fn flush(&mut self) {
-            FilterBank::flush_packed32(&self.packed, self.counts);
-            self.packed = [0; 4];
-            self.pending = 0;
-        }
-
-        fn count(&mut self, mask: u32) {
-            self.packed[0] = self.packed[0].wrapping_add(SPREAD8[(mask & 0xFF) as usize]);
-            self.packed[1] = self.packed[1].wrapping_add(SPREAD8[(mask >> 8 & 0xFF) as usize]);
-            self.packed[2] = self.packed[2].wrapping_add(SPREAD8[(mask >> 16 & 0xFF) as usize]);
-            self.packed[3] = self.packed[3].wrapping_add(SPREAD8[(mask >> 24) as usize]);
-        }
-
-        #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            let mut m = gather_u32(self.slices[0], addrs[0]);
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                m = _mm256_and_si256(m, gather_u32(s, a));
-            }
-            if _mm256_testz_si256(m, m) == 0 {
-                for l in lanes_u32(m) {
-                    self.count(l);
-                }
-            }
-            self.pending += KEY_BLOCK_LANES as u32;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    impl<const K: usize> KeyBlockSink for Sink32<'_, K> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
-        }
-
-        fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            self.count(mask);
-            self.pending += 1;
-            if self.pending >= FLUSH_AT {
-                self.flush();
-            }
-        }
-    }
-
-    /// `33 ≤ p ≤ 64` sink: u64 masks, gathered four lanes at a time and
-    /// scatter-added (too wide for packed byte counters).
-    struct Sink64<'a, const K: usize> {
-        tables: &'a TransposedTables,
-        slices: [&'a [u64]; K],
-        eval: FusedEvaluatorK<'a, K>,
-        counts: &'a mut [u64],
-    }
-
-    impl<const K: usize> Sink64<'_, K> {
-        #[target_feature(enable = "avx2")]
-        fn block_avx2(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: keys is exactly 32 bytes; loadu needs no alignment.
-            let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-            let addrs = lc_hash::simd::hash8::<K>(self.tables, kv);
-            for half in 0..2 {
-                let pick = |v: __m256i| {
-                    if half == 0 {
-                        _mm256_castsi256_si128(v)
-                    } else {
-                        _mm256_extracti128_si256::<1>(v)
-                    }
-                };
-                let mut m = gather_u64(self.slices[0], pick(addrs[0]));
-                for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                    m = _mm256_and_si256(m, gather_u64(s, pick(a)));
-                }
-                if _mm256_testz_si256(m, m) == 0 {
-                    for word in lanes_u64(m) {
-                        FilterBank::scatter_add(word, 0, self.counts);
-                    }
-                }
-            }
-        }
-    }
-
-    impl<const K: usize> KeyBlockSink for Sink64<'_, K> {
-        fn block(&mut self, keys: &[u32; KEY_BLOCK_LANES]) {
-            // safety: this sink only exists inside an engine built after
-            // the AVX2 cpuid check; the feature cannot disappear at runtime.
-            unsafe { self.block_avx2(keys) }
-        }
-
-        fn key(&mut self, key: u64) {
-            let addrs: [u32; K] = self.eval.hash_all_array(key);
-            let mut mask = self.slices[0][addrs[0] as usize];
-            for (s, &a) in self.slices[1..].iter().zip(&addrs[1..]) {
-                mask &= s[a as usize];
-            }
-            FilterBank::scatter_add(mask, 0, self.counts);
-        }
-    }
-
-    /// `p > 64`: scalar fused hashing, 256-bit AND-reduce over mask rows
-    /// padded to a multiple of 4 u64 words.
-    #[derive(Clone, Debug)]
-    pub(crate) struct MultiProbe {
-        family: H3Family,
-        wpm_pad: usize,
-        /// One padded row per hash function: entry `a` occupies words
-        /// `a·wpm_pad .. a·wpm_pad + wpm`, the rest are zero.
-        rows: Vec<Vec<u64>>,
-    }
-
-    impl MultiProbe {
-        fn build(family: H3Family, wpm: usize, slices: &[Box<[u64]>]) -> Self {
-            let wpm_pad = wpm.div_ceil(4) * 4;
-            let entries = slices[0].len() / wpm;
-            let rows = slices
-                .iter()
-                .map(|s| {
-                    let mut padded = vec![0u64; entries * wpm_pad];
-                    for a in 0..entries {
-                        padded[a * wpm_pad..a * wpm_pad + wpm]
-                            .copy_from_slice(&s[a * wpm..(a + 1) * wpm]);
-                    }
-                    padded
-                })
-                .collect();
-            Self {
-                family,
-                wpm_pad,
-                rows,
-            }
-        }
-
-        fn accumulate<S: KeySource>(&self, src: S, counts: &mut [u64]) {
-            let mut addrs = vec![0u32; self.rows.len()];
-            let eval = self.family.fused_evaluator();
-            src.for_each_key(|key| {
-                eval.hash_all_into(key, &mut addrs);
-                // safety: the engine is only built after the AVX2 cpuid
-                // check; the feature cannot disappear at runtime.
-                unsafe { self.and_reduce_scatter(&addrs, counts) };
-            });
-        }
-
-        #[target_feature(enable = "avx2")]
-        fn and_reduce_scatter(&self, addrs: &[u32], counts: &mut [u64]) {
-            for chunk in 0..self.wpm_pad / 4 {
-                let off = |a: u32| a as usize * self.wpm_pad + chunk * 4;
-                let p0 = self.rows[0].as_ptr();
-                // safety: addr < m (H3 output width), every row holds
-                // m·wpm_pad words, and chunk·4 + 4 ≤ wpm_pad, so each
-                // 32-byte load stays inside its row.
-                let mut acc = unsafe { _mm256_loadu_si256(p0.add(off(addrs[0])).cast()) };
-                for (row, &a) in self.rows.iter().zip(addrs).skip(1) {
-                    // safety: same bounds argument as the first load.
-                    let v = unsafe { _mm256_loadu_si256(row.as_ptr().add(off(a)).cast()) };
-                    acc = _mm256_and_si256(acc, v);
-                }
-                if _mm256_testz_si256(acc, acc) == 0 {
-                    for (w, word) in lanes_u64(acc).into_iter().enumerate() {
-                        // Pad words are zero, so only real words (< wpm)
-                        // ever scatter.
-                        FilterBank::scatter_add(word, (chunk * 4 + w) * 64, counts);
-                    }
-                }
-            }
-        }
+        W::count(mask.into(), &mut self.packed, self.counts);
+        self.advance(1);
     }
 }

@@ -39,5 +39,5 @@ pub use lc_bloom::SimdLevel;
 pub use parallel::{classify_batch, ParallelClassifier};
 pub use profile::{ClassifierBuilder, LanguageProfile, PAPER_PROFILE_SIZE};
 pub use result::ClassificationResult;
-pub use streaming::{StreamingClassifier, StreamingSession};
+pub use streaming::StreamingSession;
 pub use unicode::{build_wide_profile, WideClassifier};

@@ -67,9 +67,8 @@ impl KeySource for FusedChunk<'_> {
 /// The per-document state of a streaming session, held separately from the
 /// classifier reference so long-lived owners (a server worker holding an
 /// `Arc<MultiLanguageClassifier>`, one session per connection) need no
-/// self-referential borrow. Every call takes the classifier explicitly;
-/// [`StreamingClassifier`] wraps the pair back up for the common
-/// borrow-based use.
+/// self-referential borrow. Every call that probes takes the classifier
+/// explicitly.
 #[derive(Clone, Debug)]
 pub struct StreamingSession {
     extractor: StreamingExtractor,
@@ -161,45 +160,6 @@ impl StreamingSession {
     }
 }
 
-/// A streaming classification session over one document, borrowing the
-/// classifier for its lifetime. Thin wrapper over [`StreamingSession`].
-#[derive(Clone, Debug)]
-pub struct StreamingClassifier<'c> {
-    classifier: &'c MultiLanguageClassifier,
-    session: StreamingSession,
-}
-
-impl<'c> StreamingClassifier<'c> {
-    /// Start a session against a programmed classifier.
-    pub fn new(classifier: &'c MultiLanguageClassifier) -> Self {
-        Self {
-            classifier,
-            session: StreamingSession::new(classifier),
-        }
-    }
-
-    /// Feed the next chunk of the document (any size, including empty).
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.session.feed(self.classifier, chunk);
-    }
-
-    /// Current standings (partial counts) without ending the document.
-    pub fn standings(&self) -> ClassificationResult {
-        self.session.standings()
-    }
-
-    /// Bytes consumed so far in this document.
-    pub fn bytes_seen(&self) -> usize {
-        self.session.bytes_seen()
-    }
-
-    /// End the document and return the final result (the End-of-Document
-    /// latch). The session resets and can be reused for the next document.
-    pub fn finish(&mut self) -> ClassificationResult {
-        self.session.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,10 +204,10 @@ mod tests {
     fn chunked_equals_whole_buffer() {
         let c = classifier();
         let corpus = Corpus::generate(CorpusConfig::test_scale());
-        let mut s = StreamingClassifier::new(c);
+        let mut s = StreamingSession::new(c);
         for d in corpus.split().test_all().take(8) {
             for chunk in d.text.chunks(8) {
-                s.feed(chunk);
+                s.feed(c, chunk);
             }
             assert_eq!(s.finish(), c.classify(&d.text));
         }
@@ -256,12 +216,12 @@ mod tests {
     #[test]
     fn standings_are_monotone_and_final() {
         let c = classifier();
-        let mut s = StreamingClassifier::new(c);
+        let mut s = StreamingSession::new(c);
         let doc =
             b"the committee shall deliver its opinion on the draft measures within a time limit";
         let mut prev_total = 0u64;
         for chunk in doc.chunks(10) {
-            s.feed(chunk);
+            s.feed(c, chunk);
             let st = s.standings();
             assert!(st.total_ngrams() >= prev_total);
             prev_total = st.total_ngrams();
@@ -273,10 +233,10 @@ mod tests {
     #[test]
     fn session_reuse_is_clean() {
         let c = classifier();
-        let mut s = StreamingClassifier::new(c);
-        s.feed(b"le premier document francais avec quelques mots");
+        let mut s = StreamingSession::new(c);
+        s.feed(c, b"le premier document francais avec quelques mots");
         let first = s.finish();
-        s.feed(b"the second document in english with other words");
+        s.feed(c, b"the second document in english with other words");
         let second = s.finish();
         assert_eq!(
             first,
@@ -291,10 +251,10 @@ mod tests {
     #[test]
     fn empty_feeds_are_harmless() {
         let c = classifier();
-        let mut s = StreamingClassifier::new(c);
-        s.feed(b"");
-        s.feed(b"abcdef");
-        s.feed(b"");
+        let mut s = StreamingSession::new(c);
+        s.feed(c, b"");
+        s.feed(c, b"abcdef");
+        s.feed(c, b"");
         assert_eq!(s.finish(), c.classify(b"abcdef"));
     }
 
@@ -309,9 +269,9 @@ mod tests {
         for s in [2usize, 3] {
             let c = classifier_s(s);
             assert_eq!(c.subsample(), s);
-            let mut sess = StreamingClassifier::new(c);
+            let mut sess = StreamingSession::new(c);
             for chunk in doc.chunks(7) {
-                sess.feed(chunk);
+                sess.feed(c, chunk);
             }
             let streamed = sess.finish();
             assert_eq!(streamed, c.classify(doc), "s={s}");
@@ -368,9 +328,9 @@ mod tests {
             cut_points.sort_unstable();
             cut_points.dedup();
 
-            let mut sess = StreamingClassifier::new(c);
+            let mut sess = StreamingSession::new(c);
             for w in cut_points.windows(2) {
-                sess.feed(&doc[w[0]..w[1]]);
+                sess.feed(c, &doc[w[0]..w[1]]);
             }
             prop_assert_eq!(sess.finish(), c.classify(&doc));
         }

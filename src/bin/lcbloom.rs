@@ -317,7 +317,7 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
         "{:<40} {:<8} {:>8} {:>10}",
         "file", "language", "margin", "n-grams"
     );
-    let mut session = StreamingClassifier::new(&classifier);
+    let mut session = StreamingSession::new(&classifier);
     let mut buf = vec![0u8; CLASSIFY_CHUNK];
     for f in &files {
         let mut reader: Box<dyn std::io::Read> = if f == "-" {
@@ -333,7 +333,7 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
             if n == 0 {
                 break;
             }
-            session.feed(&buf[..n]);
+            session.feed(&classifier, &buf[..n]);
         }
         let r = session.finish();
         hist[lcbloom::service::latency_bucket(started.elapsed())] += 1;

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use lc_bloom::{BloomParams, ClassicBloomFilter, ParallelBloomFilter};
     pub use lc_core::{
         classify_batch, ClassificationResult, ClassifierBuilder, ConfusionMatrix, ExactClassifier,
-        MultiLanguageClassifier, ParallelClassifier, StreamingClassifier, StreamingSession,
+        MultiLanguageClassifier, ParallelClassifier, StreamingSession,
     };
     pub use lc_corpus::{Corpus, CorpusConfig, Document, Language};
     pub use lc_fpga::{

@@ -9,7 +9,6 @@
 //! compare the two dispatch paths against each other explicitly, and CI
 //! runs the whole suite a second time under `LC_FORCE_SCALAR=1`.
 
-use lcbloom::core::StreamingClassifier;
 use lcbloom::ngram::NGramExtractor;
 use lcbloom::prelude::*;
 use proptest::prelude::*;
@@ -134,9 +133,9 @@ proptest! {
 
         // Fused: bytes stream through the shift register straight into the
         // bank, across arbitrary chunk boundaries.
-        let mut sess = StreamingClassifier::new(&sub);
+        let mut sess = StreamingSession::new(&sub);
         for w in cut_points.windows(2) {
-            sess.feed(&doc[w[0]..w[1]]);
+            sess.feed(&sub, &doc[w[0]..w[1]]);
         }
         let fused = sess.finish();
 
@@ -162,9 +161,9 @@ proptest! {
         cut_points.sort_unstable();
         cut_points.dedup();
 
-        let mut s = StreamingClassifier::new(c);
+        let mut s = StreamingSession::new(c);
         for w in cut_points.windows(2) {
-            s.feed(&doc[w[0]..w[1]]);
+            s.feed(c, &doc[w[0]..w[1]]);
         }
         let streamed = s.finish();
 
@@ -178,7 +177,7 @@ proptest! {
     /// the forced-scalar path agree exactly — and both equal naive — for
     /// any document, any chunking (splits land mid-SIMD-block and mid
     /// n-gram window), any sub-sampling factor s ∈ 1..=4, at every mask
-    /// width including the packed32 boundary (p = 32).
+    /// width including the u32-row boundary (p = 32).
     #[test]
     fn forced_scalar_equals_auto_dispatch(
         p in any_p(),
@@ -198,9 +197,9 @@ proptest! {
         cut_points.dedup();
 
         let run = |c: &MultiLanguageClassifier| {
-            let mut sess = StreamingClassifier::new(c);
+            let mut sess = StreamingSession::new(c);
             for w in cut_points.windows(2) {
-                sess.feed(&doc[w[0]..w[1]]);
+                sess.feed(c, &doc[w[0]..w[1]]);
             }
             sess.finish()
         };

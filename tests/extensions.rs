@@ -3,7 +3,6 @@
 //! profile persistence, and the JRC XML preprocessing flow.
 
 use lcbloom::core::unicode::{build_wide_profile, WideClassifier};
-use lcbloom::core::StreamingClassifier;
 use lcbloom::corpus::jrc;
 use lcbloom::fpga::fabric::RamInventory;
 use lcbloom::fpga::resources::ClassifierConfig;
@@ -77,10 +76,10 @@ fn streaming_classification_matches_hardware_protocol_results() {
 
     // The streaming software session (8-byte chunks, like DMA words) agrees
     // with the simulated hardware on every document.
-    let mut s = StreamingClassifier::new(&classifier);
+    let mut s = StreamingSession::new(&classifier);
     for (doc, hw_result) in docs.iter().zip(&report.results) {
         for chunk in doc.chunks(8) {
-            s.feed(chunk);
+            s.feed(&classifier, chunk);
         }
         assert_eq!(&s.finish(), hw_result);
     }
@@ -143,30 +142,4 @@ fn m512_extension_adds_languages_beyond_thirty() {
                 .expect("allocation within computed capacity");
         }
     }
-}
-
-#[test]
-fn counting_filter_supports_incremental_reprogramming() {
-    use lcbloom::bloom::CountingBloomFilter;
-    let corpus = Corpus::generate(CorpusConfig::test_scale());
-    let profiles = lcbloom::train_profiles(&corpus, 1000);
-
-    // Maintain the French filter with counters; retrain it with English
-    // material by removing old entries and inserting new ones.
-    let mut f = CountingBloomFilter::new(BloomParams::PAPER_CONSERVATIVE, 20, 7);
-    let fr: Vec<u64> = profiles[8].1.ngrams().map(|g| g.value()).collect();
-    let en: Vec<u64> = profiles[9].1.ngrams().map(|g| g.value()).collect();
-    for &g in &fr {
-        f.insert(g);
-    }
-    for &g in &fr {
-        f.remove(g);
-    }
-    for &g in &en {
-        f.insert(g);
-    }
-    for &g in &en {
-        assert!(f.test(g));
-    }
-    assert_eq!(f.saturated(), 0);
 }
