@@ -52,12 +52,14 @@
 use crate::params::BloomParams;
 use crate::simd::{MaskWord, Probe};
 use crate::ParallelBloomFilter;
-use lc_hash::{H3Family, SimdLevel, TransposedTables};
+use lc_hash::{H3Family, NibbleTables, SimdLevel};
 
-/// Keys per block in [`KeySource::for_each_key_block`] — one AVX2 register
-/// of 32-bit keys. Matches `lc_ngram::BLOCK_LANES` (the extractor's block
-/// width) by design; the classifier asserts the two agree.
-pub const KEY_BLOCK_LANES: usize = 8;
+/// Keys per block in [`KeySource::for_each_key_block`]: the 32 keys one
+/// `vpshufb` nibble lookup hashes at once (one byte lane per key), probed
+/// as four AVX2 registers of 32-bit addresses. Matches
+/// `lc_ngram::BLOCK_LANES` (the extractor's block width) by design; the
+/// classifier asserts the two agree.
+pub const KEY_BLOCK_LANES: usize = 32;
 
 /// A push-style source of query keys — the fused-path analogue of an
 /// iterator. `for_each_key` hands every key to `sink` exactly once, in
@@ -150,7 +152,7 @@ pub struct FilterBank {
     rows: MaskRows,
     /// The AVX2 hash tables, built when dispatch lands on AVX2 and the
     /// rows have a probe; `None` means every source drains key by key.
-    simd: Option<TransposedTables>,
+    simd: Option<NibbleTables>,
 }
 
 impl FilterBank {
@@ -273,8 +275,8 @@ impl FilterBank {
             && self.params.address_bits <= 31
             && SimdLevel::cpu_has_avx2();
         self.simd = vector
-            .then(|| self.hashes.transposed_tables())
-            .filter(TransposedTables::avx2_eligible);
+            .then(|| self.hashes.nibble_tables())
+            .filter(NibbleTables::avx2_eligible);
     }
 
     /// The probe path dispatch **actually** selected — `Avx2` only when the
@@ -385,7 +387,7 @@ impl FilterBank {
     }
 
     /// Drain `src` through one [`Probe`]. The dispatch level only picks how
-    /// the source is drained: AVX2 in 8-key blocks, scalar key by key.
+    /// the source is drained: AVX2 in 32-key blocks, scalar key by key.
     fn drain<W: MaskWord, const K: usize, S: KeySource>(
         &self,
         rows: &[Box<[W]>],
@@ -551,11 +553,12 @@ mod tests {
 
     #[test]
     fn flush_boundary_is_exact_at_both_levels() {
-        // The packed byte counters drain every 248 keys. Streams crossing
-        // that point, or ending on it, must equal the naive walk for u8,
-        // u16 and u32 rows at both dispatch levels. Keys programmed into
-        // every language bump every byte lane on each key, so a late drain
-        // would wrap a lane; random keys give partial matches.
+        // The packed byte counters drain every 224 keys (256 minus the
+        // 32-key block). Streams crossing a block boundary or that point,
+        // ending on it, or filling a lane to 255, must equal the naive walk
+        // for u8, u16 and u32 rows at both dispatch levels. Keys programmed
+        // into every language bump every byte lane on each key, so a late
+        // drain would wrap a lane; random keys give partial matches.
         let params = BloomParams::new(4, 10);
         let mut rng = SmallRng::seed_from_u64(99);
         let shared: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
@@ -565,7 +568,9 @@ mod tests {
                 f.program_all(shared.iter().copied());
             }
             let mut bank = FilterBank::from_filters(&filters);
-            for n in [247usize, 248, 249, 254, 255, 256, 496, 1021] {
+            for n in [
+                31usize, 32, 33, 223, 224, 225, 255, 256, 257, 448, 449, 1021,
+            ] {
                 let all_match: Vec<u64> = (0..n).map(|i| shared[i % shared.len()]).collect();
                 let random: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & 0xF_FFFF).collect();
                 for keys in [all_match, random] {

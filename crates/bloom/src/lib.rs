@@ -20,7 +20,7 @@
 //!   tests against every language with `k` loads and one AND, mirroring
 //!   the hardware's fan-out (see the [`bank`](FilterBank) module docs).
 //!   One generic probe serves both dispatch levels over those rows: the
-//!   scalar loop takes keys one at a time, the AVX2 path takes 8-key
+//!   scalar loop takes keys one at a time, the AVX2 path takes 32-key
 //!   blocks ([`KeySource`], [`KeyBlockSink`]).
 //! * [`ClassicBloomFilter`] — the textbook single-vector construction, kept
 //!   as a comparison point.

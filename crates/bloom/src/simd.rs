@@ -8,12 +8,14 @@
 //!
 //! * `key` — the scalar body: fused H3 of one key, `K` row loads, one
 //!   AND-reduce, count.
-//! * `block` — the AVX2 body for 8 keys of at most 32 bits: the transposed
-//!   H3 evaluator ([`lc_hash::simd::hash8`]) yields 8 addresses per hash
-//!   function, one [`MaskWord::gather`] per function pulls the 8 masks
-//!   (`vpgatherdd` at scale 1, 2 or 4, or two `vpgatherqq` halves for
-//!   `u64`), the AND-reduce runs in registers, and a `vptest` skips the
-//!   count for all-miss blocks.
+//! * `block` — the AVX2 body for 32 keys of at most 32 bits: the
+//!   nibble-table H3 evaluator ([`lc_hash::simd::hash32`]) computes all
+//!   `K` hashes of the 32 keys in registers (one `vpshufb` per function,
+//!   key nibble and address byte) and hands them back as four 8-lane
+//!   groups. Per group, one [`MaskWord::gather`] per function pulls the 8
+//!   masks (`vpgatherdd` at scale 1, 2 or 4, or two `vpgatherqq` halves
+//!   for `u64`), the AND-reduce runs in registers, and a `vptest` skips
+//!   the count for all-miss groups.
 //!
 //! Both bodies count through [`MaskWord::count`]: `u8`/`u16`/`u32` masks
 //! index [`SPREAD8`] once per mask byte and add into packed byte counters
@@ -32,26 +34,28 @@
 //!
 //! Both bodies are pinned against each other and against the naive
 //! per-language filters by `tests/bank_equivalence.rs` proptests across
-//! all mask widths, tails not divisible by 8, and arbitrary chunkings.
+//! all mask widths, tails not divisible by the block width, address widths
+//! from 6 to 18 bits, and arbitrary chunkings.
 
 #![allow(unsafe_code)]
 
 use crate::bank::{scatter_add, KeyBlockSink, KEY_BLOCK_LANES};
-use lc_hash::{FusedEvaluatorK, H3Family, SimdLevel, TransposedTables};
+use lc_hash::{FusedEvaluatorK, H3Family, NibbleTables, SimdLevel};
 use std::ops::BitAndAssign;
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
     __m256i, _mm256_and_si256, _mm256_castsi256_si128, _mm256_extracti128_si256,
-    _mm256_i32gather_epi32, _mm256_i32gather_epi64, _mm256_loadu_si256, _mm256_or_si256,
-    _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_storeu_si256, _mm256_testz_si256,
+    _mm256_i32gather_epi32, _mm256_i32gather_epi64, _mm256_or_si256, _mm256_set1_epi32,
+    _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_storeu_si256, _mm256_testz_si256,
 };
 
-/// Drain the packed byte counters after this many pending keys: each byte
-/// lane grows by at most 1 per key and blocks add 8 keys at a time, so
-/// draining at 248 (the largest multiple of 8 that is ≤ 255) means no lane
-/// ever wraps.
-const FLUSH_AT: u32 = 248;
+/// Drain the packed byte counters once this many keys are pending: each
+/// byte lane grows by at most 1 per key and a block adds
+/// [`KEY_BLOCK_LANES`] keys at once, so the most a lane can hold before a
+/// drain is `FLUSH_AT - 1 + KEY_BLOCK_LANES` = 255 — no lane ever wraps.
+const FLUSH_AT: u32 = 256 - KEY_BLOCK_LANES as u32;
+const _: () = assert!(FLUSH_AT - 1 + KEY_BLOCK_LANES as u32 <= 255);
 
 /// `SPREAD8[m]` has byte `j` equal to bit `j` of `m`: one table load turns
 /// 8 language bits into eight 0/1 byte increments, so counting a mask byte
@@ -195,7 +199,7 @@ impl MaskWord for u64 {
 }
 
 /// One drain of a key source through `K` mask rows of width `W`: scalar
-/// keys through [`KeyBlockSink::key`], 8-key blocks through
+/// keys through [`KeyBlockSink::key`], 32-key blocks through
 /// [`KeyBlockSink::block`]. See the [module docs](self).
 pub(crate) struct Probe<'a, W: MaskWord, const K: usize> {
     rows: [&'a [W]; K],
@@ -203,7 +207,7 @@ pub(crate) struct Probe<'a, W: MaskWord, const K: usize> {
     /// The block path's hash tables; `Some` only on a CPU with AVX2
     /// (asserted in [`Probe::new`]). The bank drains blocks into a probe
     /// only when they are set.
-    tables: Option<&'a TransposedTables>,
+    tables: Option<&'a NibbleTables>,
     /// `m - 1`: every gathered address is masked with it.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     addr_mask: i32,
@@ -225,7 +229,7 @@ impl<'a, W: MaskWord, const K: usize> Probe<'a, W, K> {
     pub(crate) fn new(
         rows: &'a [Box<[W]>],
         hashes: &'a H3Family,
-        tables: Option<&'a TransposedTables>,
+        tables: Option<&'a NibbleTables>,
         counts: &'a mut [u64],
     ) -> Self {
         let m = 1usize << hashes.output_bits();
@@ -270,22 +274,25 @@ impl<'a, W: MaskWord, const K: usize> Probe<'a, W, K> {
         }
     }
 
-    /// The AVX2 body: hash8, gather, AND, `vptest` skip, count.
+    /// The AVX2 body: hash32, then per 8-lane group gather, AND, `vptest`
+    /// skip, count.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn block_avx2(&mut self, tables: &TransposedTables, keys: &[u32; KEY_BLOCK_LANES]) {
-        // safety: keys is exactly 32 bytes; loadu needs no alignment.
-        let kv = unsafe { _mm256_loadu_si256(keys.as_ptr().cast()) };
-        let mut addrs = lc_hash::simd::hash8::<K>(tables, kv);
+    fn block_avx2(&mut self, tables: &NibbleTables, keys: &[u32; KEY_BLOCK_LANES]) {
+        // `new` asserted that `tables` holds K AVX2-eligible functions.
+        let mut groups = [[_mm256_setzero_si256(); K]; 4];
+        lc_hash::simd::hash32::<K>(tables, keys, &mut groups);
         let addr_mask = _mm256_set1_epi32(self.addr_mask);
-        for a in &mut addrs {
-            *a = _mm256_and_si256(*a, addr_mask);
-        }
-        // safety: AVX2 is enabled here, and every lane was just masked to
-        // 0..m, below each row's m + PAD entries (asserted in `new`).
-        if let Some(masks) = unsafe { W::gather(&self.rows, &addrs) } {
-            for mask in masks {
-                W::count(mask, &mut self.packed, self.counts);
+        for addrs in &mut groups {
+            for a in addrs.iter_mut() {
+                *a = _mm256_and_si256(*a, addr_mask);
+            }
+            // safety: AVX2 is enabled here, and every lane was just masked
+            // to 0..m, below each row's m + PAD entries (asserted in `new`).
+            if let Some(masks) = unsafe { W::gather(&self.rows, addrs) } {
+                for mask in masks {
+                    W::count(mask, &mut self.packed, self.counts);
+                }
             }
         }
         self.advance(KEY_BLOCK_LANES as u32);

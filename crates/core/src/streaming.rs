@@ -27,8 +27,8 @@ pub(crate) struct FusedChunk<'a> {
 }
 
 // The extractor's block width and the bank's SIMD block width were chosen
-// to match (8 × 32-bit lanes in one AVX2 register); the zero-repacking
-// override below relies on it.
+// to match (32 grams, one per byte lane of the probe's vpshufb hash); the
+// zero-repacking override below relies on it.
 const _: () = assert!(lc_ngram::BLOCK_LANES == lc_bloom::KEY_BLOCK_LANES);
 
 impl KeySource for FusedChunk<'_> {
@@ -38,7 +38,7 @@ impl KeySource for FusedChunk<'_> {
     }
 
     /// Block-native override: the blocked extractor already produces packed
-    /// 8-lane gram blocks, so they flow to the bank's vector probe without
+    /// 32-gram blocks, so they flow to the bank's vector probe without
     /// any repacking; warm-up bytes and tails shorter than a block arrive
     /// on the scalar `key` path. Packed grams are at most `spec.bits()`
     /// wide and the classifier builds its hash family at exactly that input

@@ -132,12 +132,6 @@ impl H3 {
         &self.rows
     }
 
-    /// The byte-sliced lookup tables (one 256-entry table per input byte).
-    /// Crate-internal: the SIMD evaluator re-lays these out for gathers.
-    pub(crate) fn tables(&self) -> &[[u32; 256]] {
-        &self.tables
-    }
-
     #[inline]
     fn key_mask(&self) -> u64 {
         if self.input_bits == 64 {

@@ -14,7 +14,8 @@
 //! reason the family is "hardware friendly" and the reason the paper can
 //! compute `k` hashes per n-gram per clock. In software we evaluate it with
 //! byte-sliced lookup tables (8 input bits at a time), which is both fast and
-//! bit-exact with the gate-level definition.
+//! bit-exact with the gate-level definition; the AVX2 path uses 16-entry
+//! nibble tables looked up in registers, 32 keys at a time ([`simd`]).
 //!
 //! The crate provides:
 //!
@@ -41,7 +42,7 @@ pub mod simd;
 
 pub use h3::{FusedEvaluator, FusedEvaluatorK, H3Family, H3};
 pub use mult::MultiplicativeHash;
-pub use simd::{SimdLevel, TransposedTables};
+pub use simd::{NibbleTables, SimdLevel};
 
 /// A hash function from `u64` keys to bit-vector addresses in `[0, 1 << out_bits)`.
 ///

@@ -458,7 +458,7 @@ mod tests {
         }
 
         /// The blocked feed emits the identical gram sequence to the scalar
-        /// feed for any input, any chunking (splits straddle both 8-lane
+        /// feed for any input, any chunking (splits straddle both 32-gram
         /// blocks and n-gram windows), every blockable and unblockable n,
         /// and every sub-sampling factor — on whichever assembly path this
         /// machine dispatches to.

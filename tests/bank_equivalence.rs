@@ -2,7 +2,8 @@
 //! per-language reference path, end to end through the public classifier
 //! API: identical `ClassificationResult`s for arbitrary inputs, any
 //! chunking, and language counts spanning every mask storage width and the
-//! multi-word boundary (p ∈ {1, 8, 12, 20, 32, 64, 100}).
+//! multi-word boundary (p ∈ {1, 8, 12, 20, 32, 64, 100}), and — at
+//! p ∈ {8, 12, 20} — address widths from 6 to 18 bits with k ∈ {1, 4, 6, 8}.
 //!
 //! On hosts with AVX2 the bank builds its vector probe engine, so every
 //! property here also pins avx2 == naive; the `forced_scalar_*` properties
@@ -57,6 +58,30 @@ fn classifier_for(p: usize) -> &'static MultiLanguageClassifier {
     });
     &banks.iter().find(|(n, _)| *n == p).expect("known p").1
 }
+
+/// Profiles for `p` synthetic languages, trained once per `p` so the
+/// address-width property can build banks of any shape from them.
+fn builder_for(p: usize) -> &'static ClassifierBuilder {
+    static BUILDERS: std::sync::OnceLock<Vec<(usize, ClassifierBuilder)>> =
+        std::sync::OnceLock::new();
+    let builders = BUILDERS.get_or_init(|| {
+        ADDRESS_WIDTH_PS
+            .into_iter()
+            .map(|p| {
+                let mut b = ClassifierBuilder::new(NGramSpec::PAPER, 400);
+                for lang in 0..p {
+                    b.add_language(format!("l{lang}"), [synthetic_doc(lang, 4000).as_slice()]);
+                }
+                (p, b)
+            })
+            .collect()
+    });
+    &builders.iter().find(|(n, _)| *n == p).expect("known p").1
+}
+
+/// Language counts of the address-width property: one per narrow mask
+/// width (u8, u16, u32 rows).
+const ADDRESS_WIDTH_PS: [usize; 3] = [8, 12, 20];
 
 /// Strategy choosing a language count on each side of the u64 mask boundary.
 fn any_p() -> impl Strategy<Value = usize> {
@@ -224,6 +249,45 @@ proptest! {
         prop_assert_eq!(c.classify(&padded[off..]), c.classify(&doc));
     }
 
+    /// Banked == naive across address widths and hash counts, not only the
+    /// 10-bit, k = 3 banks above: every nibble-table address byte count
+    /// the vector hash produces (6 to 18 address bits) and k on both sides
+    /// of the paper's 4, for arbitrary documents and chunkings, at both
+    /// dispatch levels.
+    #[test]
+    fn banked_equals_naive_across_address_widths(
+        p_i in 0usize..3,
+        bits_i in 0usize..4,
+        k_i in 0usize..4,
+        doc in proptest::collection::vec(any::<u8>(), 0..1500),
+        cuts in proptest::collection::vec(0usize..1500, 0..5),
+    ) {
+        let p = ADDRESS_WIDTH_PS[p_i];
+        let address_bits = [6u32, 10, 14, 18][bits_i];
+        let k = [1usize, 4, 6, 8][k_i];
+        let auto = builder_for(p).build_bloom(BloomParams::new(k, address_bits), 1234);
+        let mut scalar = auto.clone();
+        scalar.set_force_scalar(true);
+
+        let mut cut_points: Vec<usize> = cuts.into_iter().map(|x| x % (doc.len() + 1)).collect();
+        cut_points.push(0);
+        cut_points.push(doc.len());
+        cut_points.sort_unstable();
+        cut_points.dedup();
+
+        let grams = NGramExtractor::new(auto.spec()).extract(&doc);
+        let naive = auto.classify_ngrams_naive(&grams);
+        for c in [&auto, &scalar] {
+            let mut sess = StreamingSession::new(c);
+            for w in cut_points.windows(2) {
+                sess.feed(c, &doc[w[0]..w[1]]);
+            }
+            let what = format!("p = {p}, m = 2^{address_bits}, k = {k}, {}", c.simd_level());
+            prop_assert_eq!(&sess.finish(), &naive, "streamed, {}", what);
+            prop_assert_eq!(&c.classify_ngrams(&grams), &naive, "pre-extracted, {}", what);
+        }
+    }
+
     /// The lane-split datapath model (which now strides the bank per lane)
     /// stays count-exact against naive classification.
     #[test]
@@ -240,8 +304,8 @@ proptest! {
     }
 }
 
-/// Every gram-stream length through the first several 8-lane blocks — in
-/// particular tails not divisible by the lane count — matches the naive
+/// Every gram-stream length through the first several 32-key blocks — in
+/// particular tails not divisible by the block width — matches the naive
 /// count on both dispatch paths.
 #[test]
 fn block_tail_lengths_match_naive() {
@@ -249,11 +313,11 @@ fn block_tail_lengths_match_naive() {
         let auto = classifier_for(p);
         let mut scalar = auto.clone();
         scalar.set_force_scalar(true);
-        let doc = synthetic_doc(3, 64);
+        let doc = synthetic_doc(3, 160);
         let mut grams = Vec::new();
         NGramExtractor::new(auto.spec()).extract_into(&doc, &mut grams);
-        assert!(grams.len() > 24, "need a few SIMD blocks' worth of grams");
-        for len in 0..=grams.len().min(40) {
+        assert!(grams.len() > 96, "need a few SIMD blocks' worth of grams");
+        for len in 0..=grams.len().min(136) {
             let gs = &grams[..len];
             let naive = auto.classify_ngrams_naive(gs);
             assert_eq!(auto.classify_ngrams(gs), naive, "auto p={p} len={len}");
