@@ -2,7 +2,9 @@
 //! walk) vs banked (bit-sliced `FilterBank`) classify hot paths on the
 //! paper's 8-language × (k = 4, m = 16 Kbit) configuration and writes the
 //! numbers to `BENCH_classify.json` so the perf trajectory is recorded in
-//! the repository.
+//! the repository. `banked` probes pre-extracted n-grams; `streamed` takes
+//! raw bytes through `StreamingSession`, extraction included — the one
+//! fused extract → probe loop that `classify` and every service worker run.
 //!
 //! The banked and streamed paths are measured once per dispatch path —
 //! forced-scalar always, AVX2 additionally when the host CPU has it — so
@@ -26,7 +28,6 @@ use std::time::Instant;
 
 use lc_bench::ClassifyFixture;
 use lc_core::{MultiLanguageClassifier, SimdLevel, StreamingSession};
-use lc_ngram::NGram;
 
 /// Median of `samples` timed runs of `f`, in nanoseconds.
 fn median_ns<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -44,13 +45,12 @@ fn median_ns<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
 /// One dispatch path's timings (median ns over the whole workload).
 struct PathTimes {
     banked_ns: f64,
-    two_phase_ns: f64,
-    fused_ns: f64,
+    streamed_ns: f64,
 }
 
-/// Measure the banked whole-stream path and both streamed-from-raw-bytes
-/// paths on `classifier` (whose probe engine is already pinned to the
-/// path under test).
+/// Measure the banked whole-stream path and the streamed-from-raw-bytes
+/// path on `classifier` (whose probe engine is already pinned to the path
+/// under test).
 fn measure_path(
     classifier: &MultiLanguageClassifier,
     fixture: &ClassifyFixture,
@@ -71,31 +71,10 @@ fn measure_path(
         acc
     });
 
-    // Streamed paths measure extraction + probe from raw bytes — what a
-    // service worker actually pays per document. Two-phase is the
-    // pre-fusion worker loop (extract the chunk into a Vec<NGram>, then
-    // probe the pre-extracted stream); fused folds each byte straight
-    // into the bank probe with no intermediate buffer.
-    let two_phase_ns = median_ns(samples, || {
-        let mut acc = 0usize;
-        let mut grams: Vec<NGram> = Vec::new();
-        let mut counts = vec![0u64; classifier.num_languages()];
-        for text in &fixture.texts {
-            grams.clear();
-            let mut ex = classifier.streaming_extractor();
-            ex.feed(text, &mut grams);
-            counts.iter_mut().for_each(|c| *c = 0);
-            classifier.accumulate_ngrams(&grams, &mut counts);
-            acc ^= counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &c)| c)
-                .unwrap()
-                .0;
-        }
-        acc
-    });
-    let fused_ns = median_ns(samples, || {
+    // Streamed measures extraction + probe from raw bytes — what a
+    // service worker actually pays per document: each byte folds straight
+    // into the bank probe with no intermediate n-gram buffer.
+    let streamed_ns = median_ns(samples, || {
         let mut acc = 0usize;
         let mut session = StreamingSession::new(classifier);
         for text in &fixture.texts {
@@ -107,8 +86,7 @@ fn measure_path(
 
     PathTimes {
         banked_ns,
-        two_phase_ns,
-        fused_ns,
+        streamed_ns,
     }
 }
 
@@ -173,23 +151,19 @@ fn main() {
     };
     let path_sect = |t: &PathTimes| {
         format!(
-            "{{ \"banked\": {}, \"streamed\": {{ \"two_phase\": {}, \"fused\": {}, \
-             \"fused_speedup\": {:.2} }} }}",
+            "{{ \"banked\": {}, \"streamed\": {} }}",
             sect(t.banked_ns),
-            sect(t.two_phase_ns),
-            sect(t.fused_ns),
-            t.two_phase_ns / t.fused_ns,
+            sect(t.streamed_ns),
         )
     };
 
     let speedup = naive_ns / selected_times.banked_ns;
-    let fused_speedup = selected_times.two_phase_ns / selected_times.fused_ns;
     let avx2_sect = match &avx2 {
         Some(t) => format!(",\n  \"avx2\": {}", path_sect(t)),
         None => String::new(),
     };
     let json = format!(
-        "{{\n  \"bench\": \"classify\",\n  \"config\": {{ \"languages\": {}, \"k\": {}, \"m_kbits\": {}, \"ngram\": {}, \"profile_size\": {} }},\n  \"workload\": {{ \"documents\": {}, \"bytes\": {}, \"ngrams\": {} }},\n  \"cpu_features\": {{ \"avx2\": {}, \"selected\": \"{}\" }},\n  \"naive\": {},\n  \"banked\": {},\n  \"speedup\": {:.2},\n  \"streamed\": {{ \"note\": \"raw bytes in, extraction included; two_phase is the pre-fusion baseline-to-beat; top-level numbers are the selected path\", \"two_phase\": {}, \"fused\": {}, \"fused_speedup\": {:.2} }},\n  \"scalar\": {}{}\n}}\n",
+        "{{\n  \"bench\": \"classify\",\n  \"config\": {{ \"languages\": {}, \"k\": {}, \"m_kbits\": {}, \"ngram\": {}, \"profile_size\": {} }},\n  \"workload\": {{ \"documents\": {}, \"bytes\": {}, \"ngrams\": {} }},\n  \"cpu_features\": {{ \"avx2\": {}, \"selected\": \"{}\" }},\n  \"naive\": {},\n  \"banked\": {},\n  \"speedup\": {:.2},\n  \"streamed\": {},\n  \"scalar\": {}{}\n}}\n",
         classifier.num_languages(),
         fixture.params.k,
         fixture.params.m_kbits(),
@@ -203,9 +177,7 @@ fn main() {
         sect(naive_ns),
         sect(selected_times.banked_ns),
         speedup,
-        sect(selected_times.two_phase_ns),
-        sect(selected_times.fused_ns),
-        fused_speedup,
+        sect(selected_times.streamed_ns),
         path_sect(&scalar),
         avx2_sect,
     );
@@ -213,8 +185,5 @@ fn main() {
 
     let out = std::env::var("LC_BENCH_OUT").unwrap_or_else(|_| "BENCH_classify.json".into());
     std::fs::write(&out, &json).expect("write benchmark report");
-    eprintln!(
-        "wrote {out} (selected {selected}; banked is {speedup:.2}x naive; fused streaming \
-         is {fused_speedup:.2}x the two-phase stream)"
-    );
+    eprintln!("wrote {out} (selected {selected}; banked is {speedup:.2}x naive)");
 }

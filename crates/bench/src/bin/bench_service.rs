@@ -541,37 +541,29 @@ fn main() {
         ..ServiceConfig::default()
     };
 
-    // Scenario 1: worker scaling at the baseline client count, plus the
-    // pre-fusion two-phase reference at 1 worker — measured with the same
-    // harness in the same interleaved rounds, so the fused-vs-two-phase
-    // ratio is clean of harness and container drift.
+    // Scenario 1: worker scaling at the baseline client count, the two
+    // worker counts interleaved round by round.
     const ROUNDS: usize = 5;
-    let scenario1 = [(1usize, false), (4, false), (1, true)];
+    let scenario1 = [1usize, 4];
     let mut samples: Vec<Vec<Round>> = vec![Vec::new(); scenario1.len()];
     for round in 0..ROUNDS {
-        for (ci, &(workers, two_phase)) in scenario1.iter().enumerate() {
+        for (ci, &workers) in scenario1.iter().enumerate() {
             let r = run_round(
                 &classifier,
                 &docs,
-                ServiceConfig {
-                    two_phase_reference: two_phase,
-                    ..workers_config(workers)
-                },
+                workers_config(workers),
                 clients,
                 measure_docs,
                 false,
                 false,
             );
             eprintln!(
-                "round {round}, workers={workers}{}: {:.0} docs/s, {:.1} MB/s",
-                if two_phase { " (two-phase)" } else { "" },
-                r.docs_per_s,
-                r.mb_per_s
+                "round {round}, workers={workers}: {:.0} docs/s, {:.1} MB/s",
+                r.docs_per_s, r.mb_per_s
             );
             samples[ci].push(r);
         }
     }
-    let two_phase_one = median(samples.pop().expect("two-phase samples"));
     let four = median(samples.pop().expect("workers=4 samples"));
     let one = median(samples.pop().expect("workers=1 samples"));
     let speedup = four.docs_per_s / one.docs_per_s;
@@ -966,9 +958,8 @@ fn main() {
         obs_on.stats_polls,
     );
     let fused_vs_recorded = one.mb_per_s / PRE_FUSION_WORKERS_1_MB_S;
-    let fused_vs_two_phase = one.mb_per_s / two_phase_one.mb_per_s;
     let json = format!(
-        "{{\n  \"bench\": \"service\",\n  \"config\": {{ \"languages\": {}, \"k\": {}, \"m_kbits\": {}, \"profile_size\": {}, \"mean_doc_bytes\": {}, \"clients\": {}, \"pipeline_depth\": {}, \"measured_documents\": {}, \"rounds\": {}, \"host_cores\": {} }},\n  \"pre_fusion_baseline\": {{ \"recorded\": {{ \"workers_1_mb_per_s\": {:.1}, \"workers_4_mb_per_s\": {:.1}, \"note\": \"PR 3's BENCH_service.json numbers (two-phase worker loop, per-document-flush harness)\" }}, \"two_phase_same_harness\": {{ \"workers\": 1, \"docs_per_s\": {:.1}, \"mb_per_s\": {:.1}, \"note\": \"ServiceConfig::two_phase_reference measured live in the same interleaved rounds\" }} }},\n  \"workers_1\": {{ \"docs_per_s\": {:.1}, \"mb_per_s\": {:.1} }},\n  \"workers_4\": {{ \"docs_per_s\": {:.1}, \"mb_per_s\": {:.1} }},\n  \"fused_vs_pre_fusion_workers_1\": {:.2},\n  \"fused_vs_two_phase_workers_1\": {:.2},\n  \"speedup_1_to_4\": {:.2},\n  \"connections_sweep\": {{ \"workers\": 4, \"rounds\": {}, \"points\": [\n    {}\n  ] }},\n  {},\n  \"slow_reader\": {{ \"workers\": 4, \"clients\": 64, \"measured_documents\": {}, \"docs_per_s\": {:.1}, \"mb_per_s\": {:.1}, \"slow_consumer_resets\": {} }},\n  {},\n  {},\n  {}\n}}\n",
+        "{{\n  \"bench\": \"service\",\n  \"config\": {{ \"languages\": {}, \"k\": {}, \"m_kbits\": {}, \"profile_size\": {}, \"mean_doc_bytes\": {}, \"clients\": {}, \"pipeline_depth\": {}, \"measured_documents\": {}, \"rounds\": {}, \"host_cores\": {} }},\n  \"pre_fusion_baseline\": {{ \"recorded\": {{ \"workers_1_mb_per_s\": {:.1}, \"workers_4_mb_per_s\": {:.1}, \"note\": \"served throughput recorded before extraction was fused into the probe (two-phase worker loop, per-document-flush harness)\" }} }},\n  \"workers_1\": {{ \"docs_per_s\": {:.1}, \"mb_per_s\": {:.1} }},\n  \"workers_4\": {{ \"docs_per_s\": {:.1}, \"mb_per_s\": {:.1} }},\n  \"fused_vs_pre_fusion_workers_1\": {:.2},\n  \"speedup_1_to_4\": {:.2},\n  \"connections_sweep\": {{ \"workers\": 4, \"rounds\": {}, \"points\": [\n    {}\n  ] }},\n  {},\n  \"slow_reader\": {{ \"workers\": 4, \"clients\": 64, \"measured_documents\": {}, \"docs_per_s\": {:.1}, \"mb_per_s\": {:.1}, \"slow_consumer_resets\": {} }},\n  {},\n  {},\n  {}\n}}\n",
         classifier.num_languages(),
         params.k,
         params.m_kbits(),
@@ -981,14 +972,11 @@ fn main() {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         PRE_FUSION_WORKERS_1_MB_S,
         PRE_FUSION_WORKERS_4_MB_S,
-        two_phase_one.docs_per_s,
-        two_phase_one.mb_per_s,
         one.docs_per_s,
         one.mb_per_s,
         four.docs_per_s,
         four.mb_per_s,
         fused_vs_recorded,
-        fused_vs_two_phase,
         speedup,
         SWEEP_ROUNDS,
         sweep_json.join(",\n    "),
@@ -1007,8 +995,8 @@ fn main() {
     std::fs::write(&out, &json).expect("write benchmark report");
     eprintln!(
         "wrote {out} (fused serves {fused_vs_recorded:.2}x the recorded pre-fusion MB/s per \
-         worker, {fused_vs_two_phase:.2}x two-phase under the same harness; 4 workers serve \
-         {speedup:.2}x the documents of 1 worker; one multiplexed connection serves \
+         worker; 4 workers serve {speedup:.2}x the documents of 1 worker; one \
+         multiplexed connection serves \
          {:.2}x its own single-channel throughput with 0/{} payload copies; a ~1% fault \
          rate costs {:.0}% throughput; the live introspection plane serves {:.2}x plain \
          throughput over {} mid-load stats polls; span tracing serves {:.2}x / {:.2}x / \

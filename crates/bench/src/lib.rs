@@ -48,7 +48,7 @@ pub struct ClassifyFixture {
     /// Per test document: (byte length, pre-extracted n-grams).
     pub docs: Vec<(usize, Vec<NGram>)>,
     /// The raw document bytes, for paths that measure extraction too
-    /// (streamed two-phase vs fused classification).
+    /// (streamed classification).
     pub texts: Vec<Vec<u8>>,
 }
 

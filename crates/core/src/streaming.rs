@@ -73,9 +73,6 @@ impl KeySource for FusedChunk<'_> {
 pub struct StreamingSession {
     extractor: StreamingExtractor,
     counts: Vec<u64>,
-    /// Scratch for [`Self::feed_two_phase`] only; stays empty (and
-    /// unallocated) on the fused path.
-    two_phase_scratch: Vec<lc_ngram::NGram>,
 }
 
 impl StreamingSession {
@@ -88,7 +85,6 @@ impl StreamingSession {
         Self {
             extractor: classifier.streaming_extractor(),
             counts: vec![0u64; classifier.num_languages()],
-            two_phase_scratch: Vec::new(),
         }
     }
 
@@ -117,23 +113,6 @@ impl StreamingSession {
             },
             &mut self.counts,
         );
-    }
-
-    /// The pre-fusion reference feed: extract the chunk into `scratch`,
-    /// then probe the pre-extracted stream — the two loops the fused
-    /// [`Self::feed`] replaced. Bit-identical results (property-tested);
-    /// kept so benchmarks and the service's `two_phase_reference` mode can
-    /// A/B the fusion on live traffic, and as the readable spelling of
-    /// what the fused loop computes.
-    pub fn feed_two_phase(&mut self, classifier: &MultiLanguageClassifier, chunk: &[u8]) {
-        debug_assert_eq!(self.counts.len(), classifier.num_languages());
-        debug_assert_eq!(self.extractor.spec(), classifier.spec());
-        debug_assert_eq!(self.extractor.subsample(), classifier.subsample());
-        let mut scratch = std::mem::take(&mut self.two_phase_scratch);
-        scratch.clear();
-        self.extractor.feed(chunk, &mut scratch);
-        classifier.accumulate_ngrams(&scratch, &mut self.counts);
-        self.two_phase_scratch = scratch;
     }
 
     /// Current standings (partial counts) without ending the document —
@@ -286,34 +265,10 @@ mod tests {
     }
 
     proptest! {
-        /// The fused feed and the two-phase reference feed are
-        /// bit-identical for any chunking and sub-sampling factor.
-        #[test]
-        fn fused_feed_equals_two_phase_feed(
-            doc in proptest::collection::vec(any::<u8>(), 0..400),
-            cuts in proptest::collection::vec(0usize..400, 0..6),
-            s in 1usize..=4,
-        ) {
-            let c = classifier_s(s);
-            let mut cut_points: Vec<usize> =
-                cuts.into_iter().map(|x| x % (doc.len() + 1)).collect();
-            cut_points.push(0);
-            cut_points.push(doc.len());
-            cut_points.sort_unstable();
-            cut_points.dedup();
-
-            let mut fused = StreamingSession::new(c);
-            let mut reference = StreamingSession::new(c);
-            for w in cut_points.windows(2) {
-                fused.feed(c, &doc[w[0]..w[1]]);
-                reference.feed_two_phase(c, &doc[w[0]..w[1]]);
-            }
-            prop_assert_eq!(fused.finish(), reference.finish());
-        }
-
-        /// Chunked streaming equals whole-buffer classification for any
-        /// chunking at every sub-sampling factor 1..=4, end to end through
-        /// StreamingSession (not just the raw extractor).
+        /// Chunked streaming equals whole-buffer classification, and the
+        /// probe of the pre-extracted gram stream, for any chunking at every
+        /// sub-sampling factor 1..=4, end to end through StreamingSession
+        /// (not just the raw extractor).
         #[test]
         fn any_chunking_is_equivalent(
             doc in proptest::collection::vec(any::<u8>(), 0..400),
@@ -332,7 +287,9 @@ mod tests {
             for w in cut_points.windows(2) {
                 sess.feed(c, &doc[w[0]..w[1]]);
             }
-            prop_assert_eq!(sess.finish(), c.classify(&doc));
+            let streamed = sess.finish();
+            prop_assert_eq!(&streamed, &c.classify_ngrams(&c.extractor().extract(&doc)));
+            prop_assert_eq!(streamed, c.classify(&doc));
         }
     }
 }

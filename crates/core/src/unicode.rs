@@ -39,16 +39,15 @@ pub fn build_wide_profile<'a, I: IntoIterator<Item = &'a str>>(
 #[derive(Clone, Debug)]
 pub struct WideClassifier {
     names: Vec<String>,
-    filters: Vec<ParallelBloomFilter>,
     bank: FilterBank,
     spec: WideNGramSpec,
     extractor: WideExtractor,
-    params: BloomParams,
 }
 
 impl WideClassifier {
     /// Program one filter per named profile (profiles from
-    /// [`build_wide_profile`]).
+    /// [`build_wide_profile`]) and transpose them into the bit-sliced bank,
+    /// the only form kept.
     ///
     /// # Panics
     ///
@@ -71,11 +70,9 @@ impl WideClassifier {
         let bank = FilterBank::from_filters(&filters);
         Self {
             names,
-            filters,
             bank,
             spec,
             extractor: WideExtractor::new(spec),
-            params,
         }
     }
 
@@ -86,13 +83,13 @@ impl WideClassifier {
 
     /// Number of languages.
     pub fn num_languages(&self) -> usize {
-        self.filters.len()
+        self.bank.languages()
     }
 
     /// Bloom parameters (note: same RAM budget as the narrow classifier —
     /// the wide alphabet costs hash rows, not memory bits).
     pub fn params(&self) -> BloomParams {
-        self.params
+        self.bank.params()
     }
 
     /// Use sub-sampled extraction (test every `s`-th wide n-gram) — the
@@ -112,7 +109,7 @@ impl WideClassifier {
     pub fn classify(&self, text: &str) -> ClassificationResult {
         let mut grams = Vec::new();
         self.extractor.extract_into(text, &mut grams);
-        let mut counts = vec![0u64; self.filters.len()];
+        let mut counts = vec![0u64; self.bank.languages()];
         self.bank
             .accumulate_keys(grams.iter().map(|g| g.value()), &mut counts);
         ClassificationResult::new(counts, grams.len() as u64)
@@ -203,9 +200,8 @@ enter into force on the twentieth day following that of its publication";
             c.params().total_bits(),
             BloomParams::PAPER_CONSERVATIVE.total_bits()
         );
-        for f in &c.filters {
-            assert_eq!(f.params(), BloomParams::PAPER_CONSERVATIVE);
-        }
+        // The bank only accepts filters that agree on their parameters.
+        assert_eq!(c.params(), BloomParams::PAPER_CONSERVATIVE);
     }
 
     #[test]

@@ -63,10 +63,13 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// Events decoded per `epoll_wait` call.
 const EVENT_BATCH: usize = 256;
 
+/// Socket read size: the most one `read` pass takes from a connection, and
+/// the accumulator's chunk size.
+const READ_BUFFER: usize = 64 * 1024;
+
 /// The per-reactor slice of the service configuration.
 #[derive(Clone, Debug)]
 pub(crate) struct ReactorConfig {
-    pub read_buffer: usize,
     pub outbound_high_water: usize,
     pub slow_consumer_deadline: Duration,
     pub send_buffer: usize,
@@ -491,7 +494,7 @@ impl Reactor {
             conn,
             Conn {
                 stream,
-                acc: FrameAccumulator::with_chunk_size(self.cfg.read_buffer),
+                acc: FrameAccumulator::with_chunk_size(READ_BUFFER),
                 out,
                 channels: HashMap::new(),
                 read_ready: true,
@@ -694,7 +697,7 @@ impl Reactor {
         if c.read_eof {
             return true;
         }
-        let mut budget = cfg.read_buffer.saturating_mul(32);
+        let mut budget = READ_BUFFER * 32;
         let mut alive = true;
         'outer: loop {
             while c.stalled.is_empty() && !c.in_masked {
@@ -987,9 +990,9 @@ impl Reactor {
                 Some(p) if p.fire(FaultSite::ShortRead) => {
                     metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
                     record_fault(ring.as_deref(), FaultSite::ShortRead);
-                    p.amount(FaultSite::ShortRead, cfg.read_buffer.saturating_sub(1)) + 1
+                    p.amount(FaultSite::ShortRead, READ_BUFFER - 1) + 1
                 }
-                _ => cfg.read_buffer,
+                _ => READ_BUFFER,
             };
             metrics.read_syscalls.fetch_add(1, Ordering::Relaxed);
             match c.acc.fill_from(&mut c.stream, cap) {

@@ -34,8 +34,6 @@ pub struct ServiceConfig {
     /// Watchdog period: a session stalled mid-document longer than this is
     /// reset.
     pub watchdog: Duration,
-    /// Socket read buffer size.
-    pub read_buffer: usize,
     /// Reactor (connection I/O) thread count; 0 means one per four
     /// available cores (reactors are I/O-bound; workers want the cores).
     pub reactors: usize,
@@ -61,12 +59,6 @@ pub struct ServiceConfig {
     /// values make slow-consumer behaviour observable quickly (tests,
     /// benches).
     pub send_buffer: usize,
-    /// A/B benchmarking knob: run sessions on the pre-fusion **two-phase**
-    /// classify path (extract each chunk into a `Vec<NGram>`, then probe)
-    /// instead of the fused extraction→probe loop. Bit-identical results;
-    /// `bench_service` measures both modes with one harness so the fusion
-    /// win on live traffic stays visible in `BENCH_service.json`.
-    pub two_phase_reference: bool,
     /// Deterministic fault injection ([`ChaosConfig`]); `None` (or a
     /// config with every rate at zero) serves clean. Same seed + same
     /// client schedule ⇒ same fault schedule.
@@ -95,14 +87,12 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_depth: 64,
             watchdog: Duration::from_secs(5),
-            read_buffer: 64 * 1024,
             reactors: 0,
             max_connections: 1024,
             max_channels: 256,
             outbound_high_water: 1 << 20,
             slow_consumer_deadline: Duration::from_secs(10),
             send_buffer: 0,
-            two_phase_reference: false,
             chaos: None,
             trace_ring: false,
             trace_sample: 0,
@@ -275,7 +265,6 @@ pub fn serve(
         config.effective_workers(),
         config.queue_depth,
         config.watchdog,
-        config.two_phase_reference,
         plan.clone(),
         spans.clone(),
     )?;
@@ -291,7 +280,6 @@ pub fn serve(
     };
 
     let reactor_cfg = ReactorConfig {
-        read_buffer: config.read_buffer.max(512),
         outbound_high_water: config.outbound_high_water.max(1),
         slow_consumer_deadline: config.slow_consumer_deadline,
         send_buffer: config.send_buffer,

@@ -76,9 +76,6 @@ pub struct Session {
     watchdog: Duration,
     last_activity: Instant,
     doc_started: Instant,
-    /// Pre-fusion two-phase reference mode
-    /// (`ServiceConfig::two_phase_reference`) instead of the fused path.
-    two_phase_reference: bool,
     /// Worker shard this session lives on (`usize::MAX` = unattributed,
     /// e.g. in unit tests that drive a session directly).
     shard: usize,
@@ -124,19 +121,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// New idle session for one connection (fused classify path).
+    /// New idle session for one connection.
     pub fn new(classifier: &MultiLanguageClassifier, watchdog: Duration, now: Instant) -> Self {
-        Self::with_mode(classifier, watchdog, now, false)
-    }
-
-    /// New idle session, optionally on the pre-fusion two-phase reference
-    /// path (A/B benchmarking; results are bit-identical).
-    pub fn with_mode(
-        classifier: &MultiLanguageClassifier,
-        watchdog: Duration,
-        now: Instant,
-        two_phase_reference: bool,
-    ) -> Self {
         Self {
             state: State::Idle,
             stream: StreamingSession::new(classifier),
@@ -145,7 +131,6 @@ impl Session {
             watchdog,
             last_activity: now,
             doc_started: now,
-            two_phase_reference,
             shard: usize::MAX,
             queue_wait: Duration::ZERO,
             classify_time: Duration::ZERO,
@@ -432,11 +417,7 @@ impl Session {
             }
             let feed_now = piece.len().min(to_feed);
             if feed_now > 0 {
-                if self.two_phase_reference {
-                    self.stream.feed_two_phase(classifier, &piece[..feed_now]);
-                } else {
-                    self.stream.feed(classifier, &piece[..feed_now]);
-                }
+                self.stream.feed(classifier, &piece[..feed_now]);
                 to_feed -= feed_now;
             }
         }
@@ -677,20 +658,6 @@ mod tests {
         assert_eq!(l.result, c.classify(doc));
         assert_eq!(m.snapshot().documents, 1);
         assert_eq!(m.snapshot().bytes, doc.len() as u64);
-    }
-
-    #[test]
-    fn two_phase_reference_mode_is_bit_identical() {
-        let c = classifier();
-        let m = ServiceMetrics::new(c.num_languages());
-        let doc = b"the quick brown fox jumps over the lazy dog and more of the same text";
-        let mut fused = Session::new(&c, Duration::from_secs(1), Instant::now());
-        let mut reference = Session::with_mode(&c, Duration::from_secs(1), Instant::now(), true);
-        let a = send_doc(&mut fused, &c, &m, doc);
-        let b = send_doc(&mut reference, &c, &m, doc);
-        assert_eq!(a.result, b.result);
-        assert_eq!(a.checksum, b.checksum);
-        assert_eq!(a.result, c.classify(doc));
     }
 
     #[test]

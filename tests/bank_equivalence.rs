@@ -137,12 +137,12 @@ proptest! {
         prop_assert_eq!(banked, sub.classify_ngrams_naive(&grams));
     }
 
-    /// The fused streaming path (extraction folded into the bank probe)
-    /// equals the two-phase reference (extract to a Vec, then probe the
-    /// pre-extracted stream) for any chunking and any sub-sampling factor,
-    /// at every language count / mask width.
+    /// Streamed classification (extraction folded into the bank probe)
+    /// equals probing the pre-extracted gram stream, banked and naive, and
+    /// whole-buffer `classify`, for any chunking and any sub-sampling
+    /// factor, at every language count / mask width.
     #[test]
-    fn fused_streaming_equals_two_phase(
+    fn streamed_equals_pre_extracted_any_chunking(
         p in any_p(),
         s in 1usize..=4,
         doc in proptest::collection::vec(any::<u8>(), 0..900),
