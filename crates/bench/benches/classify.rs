@@ -67,40 +67,5 @@ fn bench_classify(c: &mut Criterion) {
     g.finish();
 }
 
-/// Naive (p×k scattered bit-reads) vs banked (k loads + one AND) inner loop
-/// on the paper's 8-language × (k = 4, m = 16 Kbit) configuration —
-/// extraction excluded, pure membership-test throughput. Same fixture as
-/// the `bench_classify` JSON emitter, so both measure identical workloads.
-fn bench_banked_vs_naive(c: &mut Criterion) {
-    let fixture = lc_bench::ClassifyFixture::paper_8lang();
-    let classifier = &fixture.classifier;
-
-    let mut g = c.benchmark_group("classify_8lang_paper");
-    g.throughput(Throughput::Elements(fixture.total_ngrams() as u64));
-    g.sample_size(20);
-
-    g.bench_function("naive_pxk_bitreads", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for (_, grams) in &fixture.docs {
-                acc ^= classifier.classify_ngrams_naive(black_box(grams)).best();
-            }
-            black_box(acc)
-        });
-    });
-
-    g.bench_function("banked_k_loads_one_and", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for (_, grams) in &fixture.docs {
-                acc ^= classifier.classify_ngrams(black_box(grams)).best();
-            }
-            black_box(acc)
-        });
-    });
-
-    g.finish();
-}
-
-criterion_group!(benches, bench_classify, bench_banked_vs_naive);
+criterion_group!(benches, bench_classify);
 criterion_main!(benches);

@@ -19,8 +19,8 @@
 //! cargo run --release -p lc-bench --bin bench_classify
 //! ```
 //!
-//! The workload is [`lc_bench::ClassifyFixture::paper_8lang`] — the same
-//! fixture the criterion bench (`benches/classify.rs`) measures. Knobs:
+//! The workload is [`lc_bench::ClassifyFixture::paper_8lang`]; this
+//! emitter is the one place its naive and banked loops are timed. Knobs:
 //! `LC_BENCH_DOCS`, `LC_BENCH_DOC_BYTES`, and `LC_BENCH_OUT` (output path,
 //! default `BENCH_classify.json`).
 

@@ -468,7 +468,7 @@ fn per_shard_json(snap: &MetricsSnapshot) -> String {
 /// used to serialize as a misleading `-1`). An empty histogram reports
 /// `null`.
 fn latency_stages_json(snap: &MetricsSnapshot) -> String {
-    let stage = |name: &str, hist: &[u64; LATENCY_BUCKETS]| {
+    let stage = |(name, hist): (&str, &[u64; LATENCY_BUCKETS])| {
         let pct = |q: f64| match histogram_percentile_us(hist, q) {
             None => "null".to_string(),
             Some(u64::MAX) => format!(
@@ -486,13 +486,8 @@ fn latency_stages_json(snap: &MetricsSnapshot) -> String {
             pct(0.99)
         )
     };
-    format!(
-        "{{ {}, {}, {}, {} }}",
-        stage("latency", &snap.latency),
-        stage("queue_wait", &snap.queue_wait),
-        stage("classify", &snap.classify),
-        stage("response_drain", &snap.response_drain)
-    )
+    let stages: Vec<String> = snap.stages().into_iter().map(stage).collect();
+    format!("{{ {} }}", stages.join(", "))
 }
 
 fn median(mut xs: Vec<Round>) -> Round {

@@ -35,9 +35,9 @@ use lc_ngram::{NGram, NGramExtractor, NGramProfile, NGramSpec};
 /// The naive-vs-banked classify comparison workload: the paper's 8-language
 /// × (k = 4, m = 16 Kbit) configuration with every test document's n-gram
 /// stream pre-extracted, so measured loops compare pure membership-test
-/// throughput. Shared by the criterion bench and the `bench_classify` JSON
-/// emitter so both always measure the identical workload (same languages,
-/// seed, profile size, and corpus shape).
+/// throughput. The `bench_classify` JSON emitter is the one place these
+/// loops are timed, so every recorded number comes from the same workload
+/// (same languages, seed, profile size, and corpus shape).
 pub struct ClassifyFixture {
     /// The trained classifier (8 languages, `PAPER_CONSERVATIVE` params).
     pub classifier: MultiLanguageClassifier,

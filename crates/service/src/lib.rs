@@ -84,7 +84,7 @@ pub use lc_reactor::{install_termination_handler, raise_nofile_limit, terminatio
 pub use metrics::{
     histogram_percentile_us, latency_bucket, DocTimings, MetricsSnapshot, ServiceMetrics,
     ShardCounters, ShardStats, SnapshotDecodeError, EVENTS_PER_WAKE_BOUNDS, LATENCY_BOUNDS_US,
-    LATENCY_BUCKETS, STATS_SCHEMA_VERSION,
+    LATENCY_BUCKETS, STATS_SCHEMA_VERSION, WAKE_BUCKETS,
 };
 pub use outbound::{high_water_op, MaskOp, ResponseSink};
 pub use ring::{EventRing, RingEvent, RingSet, RingTag};

@@ -12,6 +12,12 @@
 //! response-drain stages so a throughput cliff can be attributed to
 //! queuing vs compute vs the write path.
 //!
+//! Each counter, shard field and latency stage is declared once, in wire
+//! order, in a `metric_table!`; it generates the live atomics, the
+//! snapshot fields and loads, and the positional StatsReport codec.
+//! [`MetricsSnapshot::stages`] is the `(name, histogram)` table the
+//! codec, `lcbloom stats` and the bench JSON all iterate.
+//!
 //! The whole struct is relaxed atomics: recording never takes a lock and
 //! never fences, which is what keeps the instrumentation cheap enough to
 //! leave on (the bench's `observability_overhead` round holds it under a
@@ -37,6 +43,9 @@ pub const EVENTS_PER_WAKE_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 /// Histogram length: the shared bounds plus the overflow bucket.
 pub const LATENCY_BUCKETS: usize = LATENCY_BOUNDS_US.len() + 1;
 
+/// Events-per-wake histogram length: its bounds plus the overflow bucket.
+pub const WAKE_BUCKETS: usize = EVENTS_PER_WAKE_BOUNDS.len() + 1;
+
 /// Bucket index for a measured duration under [`LATENCY_BOUNDS_US`].
 /// Public so client-side `--timing` fills bucket-compatible histograms.
 pub fn latency_bucket(d: Duration) -> usize {
@@ -60,26 +69,113 @@ pub struct DocTimings {
     pub classify: Duration,
 }
 
-/// One worker shard's live counters (relaxed atomics, updated by the
-/// reactor on enqueue and the shard thread on dequeue/apply).
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    /// Documents whose results latched on this shard. Summed across
-    /// shards this equals the global `documents` counter — both are
-    /// incremented by the same `record_document` call.
-    pub docs: AtomicU64,
-    /// Nanoseconds the shard thread spent applying commands (busy time;
-    /// compare across shards to see the static-hash imbalance).
-    pub busy_ns: AtomicU64,
-    /// Jobs currently sitting in the shard's queue.
-    pub queue_depth: AtomicU64,
-    /// Deepest the queue ever got.
-    pub queue_depth_peak: AtomicU64,
-    /// Commands parked in a connection's stall list because this shard's
-    /// queue was full (the reactor's park-and-retry path).
-    pub parked: AtomicU64,
-    /// Jobs ever enqueued to this shard.
-    pub jobs: AtomicU64,
+/// Declares a live/snapshot struct pair from one metric list. `counters`
+/// are `u64`s (`AtomicU64` live), `stages` are latency histograms; each
+/// entry is a doc comment and a name, in wire order. Generates both
+/// structs' metric fields (the rest of each struct follows them),
+/// `load_into` (the snapshot loads), the positional `counter_values`/
+/// `assign_counter`, and with stages `stages`/`stages_mut`/`STAGE_COUNT`.
+macro_rules! metric_table {
+    (
+        $(#[$live_attr:meta])*
+        pub struct $live:ident { $($live_rest:tt)* }
+        $(#[$snap_attr:meta])*
+        pub struct $snap:ident { $($snap_rest:tt)* }
+        counters { $( $(#[$c_doc:meta])* $counter:ident, )+ }
+        $( stages { $( $(#[$s_doc:meta])* $stage:ident, )+ } )?
+    ) => {
+        $(#[$live_attr])*
+        pub struct $live {
+            $( $(#[$c_doc])* pub $counter: AtomicU64, )+
+            $($( $(#[$s_doc])* $stage: [AtomicU64; LATENCY_BUCKETS], )+)?
+            $($live_rest)*
+        }
+
+        $(#[$snap_attr])*
+        pub struct $snap {
+            $( $(#[$c_doc])* pub $counter: u64, )+
+            $($( $(#[$s_doc])* pub $stage: [u64; LATENCY_BUCKETS], )+)?
+            $($snap_rest)*
+        }
+
+        impl $live {
+            /// Load every table metric into `into`, stages before counters:
+            /// recording bumps a counter before the bucket that details it.
+            fn load_into(&self, into: &mut $snap) {
+                $($(
+                    into.$stage = std::array::from_fn(|i| self.$stage[i].load(Ordering::Relaxed));
+                )+)?
+                $( into.$counter = self.$counter.load(Ordering::Relaxed); )+
+            }
+        }
+
+        impl $snap {
+            /// Counters in the table.
+            const COUNTERS: usize = [$(stringify!($counter)),+].len();
+            /// The counters in their fixed wire order. New counters are
+            /// appended to the table — never reordered — so old decoders
+            /// keep reading the prefix they know.
+            fn counter_values(&self) -> [u64; Self::COUNTERS] {
+                [$(self.$counter),+]
+            }
+
+            /// Set the counter at wire position `i`; positions past the
+            /// end (a newer peer's appended counters) are ignored.
+            fn assign_counter(&mut self, i: usize, v: u64) {
+                if let Some(slot) = [$(&mut self.$counter),+].into_iter().nth(i) {
+                    *slot = v;
+                }
+            }
+        }
+
+        $(
+            /// Latency stages per snapshot, in wire order.
+            const STAGE_COUNT: usize = [$(stringify!($stage)),+].len();
+
+            impl $snap {
+                /// The latency stage histograms in wire order, each named
+                /// by its field: what the codec, `lcbloom stats` and the
+                /// bench JSON iterate.
+                pub fn stages(&self) -> [(&'static str, &[u64; LATENCY_BUCKETS]); STAGE_COUNT] {
+                    [$((stringify!($stage), &self.$stage)),+]
+                }
+
+                fn stages_mut(&mut self) -> [&mut [u64; LATENCY_BUCKETS]; STAGE_COUNT] {
+                    [$(&mut self.$stage),+]
+                }
+            }
+        )?
+    };
+}
+
+metric_table! {
+    /// One worker shard's live counters (relaxed atomics, updated by the
+    /// reactor on enqueue and the shard thread on dequeue/apply).
+    #[derive(Debug, Default)]
+    pub struct ShardCounters {}
+
+    /// Plain-data copy of one shard's counters.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ShardStats {}
+
+    counters {
+        /// Documents whose results latched on this shard. Summed across
+        /// shards this equals the global `documents` counter — both are
+        /// incremented by the same `record_document` call.
+        docs,
+        /// Nanoseconds the shard thread spent applying commands (busy time;
+        /// compare across shards to see the static-hash imbalance).
+        busy_ns,
+        /// Jobs currently sitting in the shard's queue.
+        queue_depth,
+        /// Deepest the queue ever got.
+        queue_depth_peak,
+        /// Commands parked in a connection's stall list because this shard's
+        /// queue was full (the reactor's park-and-retry path).
+        parked,
+        /// Jobs ever enqueued to this shard.
+        jobs,
+    }
 }
 
 impl ShardCounters {
@@ -100,129 +196,147 @@ impl ShardCounters {
     }
 
     fn snapshot(&self) -> ShardStats {
-        ShardStats {
-            docs: self.docs.load(Ordering::Relaxed),
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            parked: self.parked.load(Ordering::Relaxed),
-            jobs: self.jobs.load(Ordering::Relaxed),
-        }
+        let mut stats = ShardStats::default();
+        self.load_into(&mut stats);
+        stats
     }
 }
 
-/// Plain-data copy of one shard's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Documents latched on this shard.
-    pub docs: u64,
-    /// Nanoseconds spent applying commands.
-    pub busy_ns: u64,
-    /// Jobs in the queue at snapshot time.
-    pub queue_depth: u64,
-    /// Deepest the queue ever got.
-    pub queue_depth_peak: u64,
-    /// Commands parked because the queue was full.
-    pub parked: u64,
-    /// Jobs ever enqueued.
-    pub jobs: u64,
-}
+metric_table! {
+    /// Shared counters, updated by connection handlers and workers.
+    #[derive(Debug, Default)]
+    pub struct ServiceMetrics {
+        /// Language names, index-aligned with `lang_wins` (empty when the
+        /// metrics were built without names; rendering falls back to
+        /// `lang{i}`).
+        lang_names: Vec<String>,
+        /// Wins per language, index-aligned with the classifier's names.
+        lang_wins: Vec<AtomicU64>,
+        /// Events-per-epoll-wake distribution (`EVENTS_PER_WAKE_BOUNDS`).
+        events_per_wake: [AtomicU64; WAKE_BUCKETS],
+        /// Per-worker-shard counters (empty when built without topology).
+        shards: Vec<ShardCounters>,
+        /// Classify probe path (`"scalar"`/`"avx2"`), set once at startup from
+        /// the classifier's resolved dispatch; empty until then.
+        simd: std::sync::OnceLock<String>,
+    }
 
-/// Shared counters, updated by connection handlers and workers.
-#[derive(Debug)]
-pub struct ServiceMetrics {
-    /// Connections accepted over the server's lifetime.
-    pub connections: AtomicU64,
-    /// Currently open connections.
-    pub connections_current: AtomicU64,
-    /// Most connections ever open at once.
-    pub connections_peak: AtomicU64,
-    /// Accepts refused because `connections_current` hit the cap.
-    pub accepts_rejected: AtomicU64,
-    /// Times a connection's outbound queue crossed the high-water mark
-    /// (its `EPOLLIN` was masked until the queue drained).
-    pub outbound_stalls: AtomicU64,
-    /// Deepest any single connection's outbound queue ever got, in bytes —
-    /// the high-water mark slow-consumer tuning needs to see without a
-    /// debugger (compare against `outbound_high_water`).
-    pub outbound_queue_peak: AtomicU64,
-    /// Connections reset for sitting above high-water past the
-    /// slow-consumer deadline.
-    pub slow_consumer_resets: AtomicU64,
-    /// Channels (independent command streams; a v1 connection is one
-    /// channel) currently open across all connections.
-    pub channels_current: AtomicU64,
-    /// Most channels ever open at once.
-    pub channels_peak: AtomicU64,
-    /// Reset commands applied to a channel's session (mid-document Resets
-    /// discard the in-flight document).
-    pub channel_resets: AtomicU64,
-    /// Data frames decoded by the reactors.
-    pub data_frames: AtomicU64,
-    /// Data payloads *copied* between reactor and worker. The zero-copy
-    /// frame path keeps this at exactly 0 (payloads travel as refcounted
-    /// rope segments); the bench asserts it.
-    pub payload_copies: AtomicU64,
-    /// Documents classified (results latched).
-    pub documents: AtomicU64,
-    /// Document payload bytes classified.
-    pub bytes: AtomicU64,
-    /// N-grams tested.
-    pub ngrams: AtomicU64,
-    /// Protocol faults answered with an Error response.
-    pub protocol_errors: AtomicU64,
-    /// Stalled sessions reset by the watchdog.
-    pub watchdog_resets: AtomicU64,
-    /// Worker panics caught by the per-document unwind guard (the
-    /// document got an `EngineFault` response; the thread survived).
-    pub worker_panics: AtomicU64,
-    /// Worker shard threads respawned by the pool supervisor after a
-    /// panic escaped the per-document guard.
-    pub worker_restarts: AtomicU64,
-    /// Documents shed with a `Busy` fault: the channel's shard queue was
-    /// full while the connection's outbound queue sat over high-water.
-    pub busy_shed: AtomicU64,
-    /// Documents refused with a `ShuttingDown` fault during drain.
-    pub drain_shed: AtomicU64,
-    /// Channels torn down early by a `CloseChannel` control frame.
-    pub channels_closed: AtomicU64,
-    /// Faults injected by an active chaos plan (0 in production).
-    pub faults_injected: AtomicU64,
-    /// `epoll_wait` returns across all reactor threads.
-    pub reactor_wakeups: AtomicU64,
-    /// Eventfd wake tokens drained (worker → reactor nudges that landed;
-    /// diff against `wake_drop` chaos to see swallowed wakes).
-    pub eventfd_wakes: AtomicU64,
-    /// Socket read syscalls issued by the reactors.
-    pub read_syscalls: AtomicU64,
-    /// Socket write passes issued by the reactors (write-through and
-    /// queued flushes).
-    pub write_syscalls: AtomicU64,
-    /// Reads that left a frame mid-reassembly (short-read continuations:
-    /// the frame completed only on a later read).
-    pub short_read_continuations: AtomicU64,
-    /// Language names, index-aligned with `lang_wins` (empty when the
-    /// metrics were built without names; rendering falls back to
-    /// `lang{i}`).
-    lang_names: Vec<String>,
-    /// Wins per language, index-aligned with the classifier's names.
-    lang_wins: Vec<AtomicU64>,
-    /// End-to-end latency histogram: `LATENCY_BOUNDS_US` buckets + overflow.
-    latency: [AtomicU64; LATENCY_BUCKETS],
-    /// Queue-wait stage histogram (shard-enqueued → worker-dequeued).
-    queue_wait: [AtomicU64; LATENCY_BUCKETS],
-    /// Classify stage histogram (time feeding the classifier).
-    classify: [AtomicU64; LATENCY_BUCKETS],
-    /// Response-drain stage histogram (result latched → response bytes
-    /// flushed into the socket).
-    response_drain: [AtomicU64; LATENCY_BUCKETS],
-    /// Events-per-epoll-wake distribution (`EVENTS_PER_WAKE_BOUNDS`).
-    events_per_wake: [AtomicU64; LATENCY_BUCKETS],
-    /// Per-worker-shard counters (empty when built without topology).
-    shards: Vec<ShardCounters>,
-    /// Classify probe path (`"scalar"`/`"avx2"`), set once at startup from
-    /// the classifier's resolved dispatch; empty until then.
-    simd: std::sync::OnceLock<String>,
+    /// Plain-data copy of [`ServiceMetrics`].
+    ///
+    /// **Consistency:** see [`ServiceMetrics::snapshot`] — individual
+    /// counters are exact, cross-counter relationships can tear by the
+    /// in-flight window mid-load, and a quiesced snapshot is exact across
+    /// all counters.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsSnapshot {
+        /// Language names, index-aligned with `lang_wins`.
+        pub lang_names: Vec<String>,
+        /// Wins per language.
+        pub lang_wins: Vec<u64>,
+        /// Events-per-epoll-wake distribution (`EVENTS_PER_WAKE_BOUNDS`).
+        pub events_per_wake: [u64; WAKE_BUCKETS],
+        /// Per-worker-shard counters.
+        pub shards: Vec<ShardStats>,
+        /// Per-reactor event-ring dumps (populated only by
+        /// `GetStats(detail=1)` answers from a `--trace-ring` server; empty
+        /// in plain snapshots).
+        pub rings: Vec<Vec<RingEvent>>,
+        /// Trace spans drained by a `GetStats(detail=2)` answer from a
+        /// tracing server (`--trace-sample`/`--trace-slow-us`); empty in
+        /// plain snapshots and at lower detail.
+        pub spans: Vec<SpanRecord>,
+        /// Time-series history slots attached by a `GetStats(detail=2)`
+        /// answer when the server's sampler is running; empty otherwise.
+        pub history: Vec<HistorySlot>,
+        /// Classify probe path the server selected (`"scalar"`/`"avx2"`);
+        /// empty when the server predates the field or never set it.
+        pub simd: String,
+    }
+
+    counters {
+        /// Connections accepted over the server's lifetime.
+        connections,
+        /// Currently open connections.
+        connections_current,
+        /// Most connections ever open at once.
+        connections_peak,
+        /// Accepts refused because `connections_current` hit the cap.
+        accepts_rejected,
+        /// Times a connection's outbound queue crossed the high-water mark
+        /// (its `EPOLLIN` was masked until the queue drained).
+        outbound_stalls,
+        /// Deepest any single connection's outbound queue ever got, in bytes —
+        /// the high-water mark slow-consumer tuning needs to see without a
+        /// debugger (compare against `outbound_high_water`).
+        outbound_queue_peak,
+        /// Connections reset for sitting above high-water past the
+        /// slow-consumer deadline.
+        slow_consumer_resets,
+        /// Channels (independent command streams; a v1 connection is one
+        /// channel) currently open across all connections.
+        channels_current,
+        /// Most channels ever open at once.
+        channels_peak,
+        /// Reset commands applied to a channel's session (mid-document Resets
+        /// discard the in-flight document).
+        channel_resets,
+        /// Data frames decoded by the reactors.
+        data_frames,
+        /// Data payloads *copied* between reactor and worker. The zero-copy
+        /// frame path keeps this at exactly 0 (payloads travel as refcounted
+        /// rope segments); the bench asserts it.
+        payload_copies,
+        /// Documents classified (results latched).
+        documents,
+        /// Document payload bytes classified.
+        bytes,
+        /// N-grams tested.
+        ngrams,
+        /// Protocol faults answered with an Error response.
+        protocol_errors,
+        /// Stalled sessions reset by the watchdog.
+        watchdog_resets,
+        /// Worker panics caught by the per-document unwind guard (the
+        /// document got an `EngineFault` response; the thread survived).
+        worker_panics,
+        /// Worker shard threads respawned by the pool supervisor after a
+        /// panic escaped the per-document guard.
+        worker_restarts,
+        /// Documents shed with a `Busy` fault: the channel's shard queue was
+        /// full while the connection's outbound queue sat over high-water.
+        busy_shed,
+        /// Documents refused with a `ShuttingDown` fault during drain.
+        drain_shed,
+        /// Channels torn down early by a `CloseChannel` control frame.
+        channels_closed,
+        /// Faults injected by an active chaos plan (0 in production).
+        faults_injected,
+        /// `epoll_wait` returns across all reactor threads.
+        reactor_wakeups,
+        /// Eventfd wake tokens drained (worker → reactor nudges that landed;
+        /// diff against `wake_drop` chaos to see swallowed wakes).
+        eventfd_wakes,
+        /// Socket read syscalls issued by the reactors.
+        read_syscalls,
+        /// Socket write passes issued by the reactors (write-through and
+        /// queued flushes).
+        write_syscalls,
+        /// Reads that left a frame mid-reassembly (short-read continuations:
+        /// the frame completed only on a later read).
+        short_read_continuations,
+    }
+
+    stages {
+        /// End-to-end latency histogram: `LATENCY_BOUNDS_US` buckets + overflow.
+        latency,
+        /// Queue-wait stage histogram (shard-enqueued → worker-dequeued).
+        queue_wait,
+        /// Classify stage histogram (time feeding the classifier).
+        classify,
+        /// Response-drain stage histogram (result latched → response bytes
+        /// flushed into the socket).
+        response_drain,
+    }
 }
 
 impl ServiceMetrics {
@@ -236,43 +350,10 @@ impl ServiceMetrics {
     /// `workers` per-shard counter blocks (what `serve` builds).
     pub fn with_topology(lang_names: Vec<String>, workers: usize) -> Self {
         Self {
-            connections: AtomicU64::new(0),
-            connections_current: AtomicU64::new(0),
-            connections_peak: AtomicU64::new(0),
-            accepts_rejected: AtomicU64::new(0),
-            outbound_stalls: AtomicU64::new(0),
-            outbound_queue_peak: AtomicU64::new(0),
-            slow_consumer_resets: AtomicU64::new(0),
-            channels_current: AtomicU64::new(0),
-            channels_peak: AtomicU64::new(0),
-            channel_resets: AtomicU64::new(0),
-            data_frames: AtomicU64::new(0),
-            payload_copies: AtomicU64::new(0),
-            documents: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            ngrams: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            watchdog_resets: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            busy_shed: AtomicU64::new(0),
-            drain_shed: AtomicU64::new(0),
-            channels_closed: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            eventfd_wakes: AtomicU64::new(0),
-            read_syscalls: AtomicU64::new(0),
-            write_syscalls: AtomicU64::new(0),
-            short_read_continuations: AtomicU64::new(0),
             lang_wins: (0..lang_names.len()).map(|_| AtomicU64::new(0)).collect(),
             lang_names,
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-            queue_wait: std::array::from_fn(|_| AtomicU64::new(0)),
-            classify: std::array::from_fn(|_| AtomicU64::new(0)),
-            response_drain: std::array::from_fn(|_| AtomicU64::new(0)),
-            events_per_wake: std::array::from_fn(|_| AtomicU64::new(0)),
             shards: (0..workers).map(|_| ShardCounters::default()).collect(),
-            simd: std::sync::OnceLock::new(),
+            ..Self::default()
         }
     }
 
@@ -354,162 +435,30 @@ impl ServiceMetrics {
     /// `documents`, `bytes`/`documents` ratios) therefore hold exactly on
     /// quiesced snapshots and to within the in-flight window mid-load.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        // Load the per-shard blocks *before* the global counters.
-        // `record_document` increments `documents` first and the owning
-        // shard's `docs` second, so the documented "shard sum never
-        // exceeds `documents`" invariant only holds for a racing reader
-        // that observes them in the opposite order: shards first, then
-        // the global counter (which can only have grown since). Reading
-        // `documents` first (as this method originally did) lets a
-        // snapshot catch a smaller `documents` than the shard sum — the
-        // loom model test `shard_docs_never_exceed_documents` pins this
-        // order.
+        // Load the per-shard blocks, wins and histograms *before* the
+        // global counters. `record_document` increments `documents` first
+        // and the owning shard's `docs` after, so only this read order
+        // keeps "shard sum never exceeds `documents`" for a racing reader
+        // (`documents` can only have grown since) — the loom model test
+        // `shard_docs_never_exceed_documents` pins it.
         let shards: Vec<ShardStats> = self.shards.iter().map(ShardCounters::snapshot).collect();
-        MetricsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            connections_current: self.connections_current.load(Ordering::Relaxed),
-            connections_peak: self.connections_peak.load(Ordering::Relaxed),
-            accepts_rejected: self.accepts_rejected.load(Ordering::Relaxed),
-            outbound_stalls: self.outbound_stalls.load(Ordering::Relaxed),
-            outbound_queue_peak: self.outbound_queue_peak.load(Ordering::Relaxed),
-            slow_consumer_resets: self.slow_consumer_resets.load(Ordering::Relaxed),
-            channels_current: self.channels_current.load(Ordering::Relaxed),
-            channels_peak: self.channels_peak.load(Ordering::Relaxed),
-            channel_resets: self.channel_resets.load(Ordering::Relaxed),
-            data_frames: self.data_frames.load(Ordering::Relaxed),
-            payload_copies: self.payload_copies.load(Ordering::Relaxed),
-            documents: self.documents.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            ngrams: self.ngrams.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            watchdog_resets: self.watchdog_resets.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            busy_shed: self.busy_shed.load(Ordering::Relaxed),
-            drain_shed: self.drain_shed.load(Ordering::Relaxed),
-            channels_closed: self.channels_closed.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            eventfd_wakes: self.eventfd_wakes.load(Ordering::Relaxed),
-            read_syscalls: self.read_syscalls.load(Ordering::Relaxed),
-            write_syscalls: self.write_syscalls.load(Ordering::Relaxed),
-            short_read_continuations: self.short_read_continuations.load(Ordering::Relaxed),
+        let mut snap = MetricsSnapshot {
             lang_names: self.lang_names.clone(),
             lang_wins: self
                 .lang_wins
                 .iter()
                 .map(|w| w.load(Ordering::Relaxed))
                 .collect(),
-            latency: std::array::from_fn(|i| self.latency[i].load(Ordering::Relaxed)),
-            queue_wait: std::array::from_fn(|i| self.queue_wait[i].load(Ordering::Relaxed)),
-            classify: std::array::from_fn(|i| self.classify[i].load(Ordering::Relaxed)),
-            response_drain: std::array::from_fn(|i| self.response_drain[i].load(Ordering::Relaxed)),
             events_per_wake: std::array::from_fn(|i| {
                 self.events_per_wake[i].load(Ordering::Relaxed)
             }),
             shards,
-            rings: Vec::new(),
-            spans: Vec::new(),
-            history: Vec::new(),
             simd: self.simd.get().cloned().unwrap_or_default(),
-        }
+            ..MetricsSnapshot::default()
+        };
+        self.load_into(&mut snap);
+        snap
     }
-}
-
-/// Plain-data copy of [`ServiceMetrics`].
-///
-/// **Consistency:** see [`ServiceMetrics::snapshot`] — individual
-/// counters are exact, cross-counter relationships can tear by the
-/// in-flight window mid-load, and a quiesced snapshot is exact across
-/// all counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Currently open connections.
-    pub connections_current: u64,
-    /// Most connections ever open at once.
-    pub connections_peak: u64,
-    /// Accepts refused at the `max_connections` cap.
-    pub accepts_rejected: u64,
-    /// Outbound queues that crossed the high-water mark.
-    pub outbound_stalls: u64,
-    /// Deepest any single connection's outbound queue ever got (bytes).
-    pub outbound_queue_peak: u64,
-    /// Connections reset by the slow-consumer policy.
-    pub slow_consumer_resets: u64,
-    /// Channels currently open across all connections.
-    pub channels_current: u64,
-    /// Most channels ever open at once.
-    pub channels_peak: u64,
-    /// Reset commands applied to channel sessions.
-    pub channel_resets: u64,
-    /// Data frames decoded.
-    pub data_frames: u64,
-    /// Data payloads copied on the reactor→worker path (0 = zero-copy).
-    pub payload_copies: u64,
-    /// Documents classified.
-    pub documents: u64,
-    /// Document payload bytes classified.
-    pub bytes: u64,
-    /// N-grams tested.
-    pub ngrams: u64,
-    /// Protocol faults answered with an Error response.
-    pub protocol_errors: u64,
-    /// Stalled sessions reset by the watchdog.
-    pub watchdog_resets: u64,
-    /// Worker panics caught by the per-document unwind guard.
-    pub worker_panics: u64,
-    /// Worker shard threads respawned by the pool supervisor.
-    pub worker_restarts: u64,
-    /// Documents shed with a `Busy` fault under dual saturation.
-    pub busy_shed: u64,
-    /// Documents refused with a `ShuttingDown` fault during drain.
-    pub drain_shed: u64,
-    /// Channels torn down early by `CloseChannel`.
-    pub channels_closed: u64,
-    /// Faults injected by an active chaos plan.
-    pub faults_injected: u64,
-    /// `epoll_wait` returns across all reactors.
-    pub reactor_wakeups: u64,
-    /// Eventfd wake tokens drained.
-    pub eventfd_wakes: u64,
-    /// Socket read syscalls issued by the reactors.
-    pub read_syscalls: u64,
-    /// Socket write passes issued by the reactors.
-    pub write_syscalls: u64,
-    /// Reads that left a frame mid-reassembly.
-    pub short_read_continuations: u64,
-    /// Language names, index-aligned with `lang_wins`.
-    pub lang_names: Vec<String>,
-    /// Wins per language.
-    pub lang_wins: Vec<u64>,
-    /// End-to-end latency histogram (`LATENCY_BOUNDS_US` + overflow).
-    pub latency: [u64; LATENCY_BUCKETS],
-    /// Queue-wait stage histogram (same buckets).
-    pub queue_wait: [u64; LATENCY_BUCKETS],
-    /// Classify stage histogram (same buckets).
-    pub classify: [u64; LATENCY_BUCKETS],
-    /// Response-drain stage histogram (same buckets).
-    pub response_drain: [u64; LATENCY_BUCKETS],
-    /// Events-per-epoll-wake distribution (`EVENTS_PER_WAKE_BOUNDS`).
-    pub events_per_wake: [u64; LATENCY_BUCKETS],
-    /// Per-worker-shard counters.
-    pub shards: Vec<ShardStats>,
-    /// Per-reactor event-ring dumps (populated only by
-    /// `GetStats(detail=1)` answers from a `--trace-ring` server; empty
-    /// in plain snapshots).
-    pub rings: Vec<Vec<RingEvent>>,
-    /// Trace spans drained by a `GetStats(detail=2)` answer from a
-    /// tracing server (`--trace-sample`/`--trace-slow-us`); empty in
-    /// plain snapshots and at lower detail.
-    pub spans: Vec<SpanRecord>,
-    /// Time-series history slots attached by a `GetStats(detail=2)`
-    /// answer when the server's sampler is running; empty otherwise.
-    pub history: Vec<HistorySlot>,
-    /// Classify probe path the server selected (`"scalar"`/`"avx2"`);
-    /// empty when the server predates the field or never set it.
-    pub simd: String,
 }
 
 /// Failure decoding a [`MetricsSnapshot`] wire blob.
@@ -541,8 +490,8 @@ const SEC_SPANS: u16 = 7;
 const SEC_HISTORY: u16 = 8;
 const SEC_SIMD: u16 = 9;
 
-const SHARD_FIELDS: usize = 6;
-const STAGE_COUNT: usize = 4;
+/// `u64` fields per shard entry.
+const SHARD_FIELDS: usize = ShardStats::COUNTERS;
 /// Serialized [`SpanRecord`] size; each record is length-prefixed by the
 /// section header so a future schema can append fields that old decoders
 /// skip per-record.
@@ -607,76 +556,6 @@ impl<'a> Reader<'a> {
 }
 
 impl MetricsSnapshot {
-    /// The scalar counters in their fixed wire order. New counters are
-    /// appended here (and to `assign_counter`) — never reordered — so old
-    /// decoders keep reading the prefix they know.
-    fn counter_values(&self) -> Vec<u64> {
-        vec![
-            self.connections,
-            self.connections_current,
-            self.connections_peak,
-            self.accepts_rejected,
-            self.outbound_stalls,
-            self.outbound_queue_peak,
-            self.slow_consumer_resets,
-            self.channels_current,
-            self.channels_peak,
-            self.channel_resets,
-            self.data_frames,
-            self.payload_copies,
-            self.documents,
-            self.bytes,
-            self.ngrams,
-            self.protocol_errors,
-            self.watchdog_resets,
-            self.worker_panics,
-            self.worker_restarts,
-            self.busy_shed,
-            self.drain_shed,
-            self.channels_closed,
-            self.faults_injected,
-            self.reactor_wakeups,
-            self.eventfd_wakes,
-            self.read_syscalls,
-            self.write_syscalls,
-            self.short_read_continuations,
-        ]
-    }
-
-    fn assign_counter(&mut self, i: usize, v: u64) {
-        match i {
-            0 => self.connections = v,
-            1 => self.connections_current = v,
-            2 => self.connections_peak = v,
-            3 => self.accepts_rejected = v,
-            4 => self.outbound_stalls = v,
-            5 => self.outbound_queue_peak = v,
-            6 => self.slow_consumer_resets = v,
-            7 => self.channels_current = v,
-            8 => self.channels_peak = v,
-            9 => self.channel_resets = v,
-            10 => self.data_frames = v,
-            11 => self.payload_copies = v,
-            12 => self.documents = v,
-            13 => self.bytes = v,
-            14 => self.ngrams = v,
-            15 => self.protocol_errors = v,
-            16 => self.watchdog_resets = v,
-            17 => self.worker_panics = v,
-            18 => self.worker_restarts = v,
-            19 => self.busy_shed = v,
-            20 => self.drain_shed = v,
-            21 => self.channels_closed = v,
-            22 => self.faults_injected = v,
-            23 => self.reactor_wakeups = v,
-            24 => self.eventfd_wakes = v,
-            25 => self.read_syscalls = v,
-            26 => self.write_syscalls = v,
-            27 => self.short_read_continuations = v,
-            _ => {} // a newer server's counter this build does not know
-        }
-    }
-
     /// Serialize into the versioned StatsReport wire schema: a `u16`
     /// schema version, then self-describing sections (`tag: u16`,
     /// `len: u32`, body). Unknown sections and appended fields are
@@ -712,20 +591,15 @@ impl MetricsSnapshot {
         }
         put_u16(&mut body, STAGE_COUNT as u16);
         put_u16(&mut body, LATENCY_BUCKETS as u16);
-        for stage in [
-            &self.latency,
-            &self.queue_wait,
-            &self.classify,
-            &self.response_drain,
-        ] {
-            for &count in stage {
+        for (_, hist) in self.stages() {
+            for &count in hist {
                 put_u64(&mut body, count);
             }
         }
         put_section(&mut out, SEC_STAGES, &body);
 
         let mut body = Vec::new();
-        put_u16(&mut body, LATENCY_BUCKETS as u16);
+        put_u16(&mut body, WAKE_BUCKETS as u16);
         for &count in &self.events_per_wake {
             put_u64(&mut body, count);
         }
@@ -735,14 +609,7 @@ impl MetricsSnapshot {
         put_u16(&mut body, self.shards.len() as u16);
         put_u16(&mut body, SHARD_FIELDS as u16);
         for s in &self.shards {
-            for v in [
-                s.docs,
-                s.busy_ns,
-                s.queue_depth,
-                s.queue_depth_peak,
-                s.parked,
-                s.jobs,
-            ] {
+            for v in s.counter_values() {
                 put_u64(&mut body, v);
             }
         }
@@ -836,10 +703,8 @@ impl MetricsSnapshot {
             let mut body = Reader { buf: r.take(len)? };
             match tag {
                 SEC_COUNTERS => {
-                    let n = body.u16()? as usize;
-                    for i in 0..n {
-                        let v = body.u64()?;
-                        snap.assign_counter(i, v);
+                    for i in 0..body.u16()? as usize {
+                        snap.assign_counter(i, body.u64()?);
                     }
                 }
                 SEC_LANGS => {
@@ -863,18 +728,13 @@ impl MetricsSnapshot {
                     }
                     let stages = body.u16()? as usize;
                     let buckets = body.u16()? as usize;
+                    let mut hists = snap.stages_mut();
                     for s in 0..stages {
                         for b in 0..buckets {
                             let v = body.u64()?;
-                            if b >= LATENCY_BUCKETS {
-                                continue;
-                            }
-                            match s {
-                                0 => snap.latency[b] = v,
-                                1 => snap.queue_wait[b] = v,
-                                2 => snap.classify[b] = v,
-                                3 => snap.response_drain[b] = v,
-                                _ => {}
+                            // Stages or buckets past the known ones: dropped.
+                            if let Some(slot) = hists.get_mut(s).and_then(|h| h.get_mut(b)) {
+                                *slot = v;
                             }
                         }
                     }
@@ -883,8 +743,8 @@ impl MetricsSnapshot {
                     let buckets = body.u16()? as usize;
                     for b in 0..buckets {
                         let v = body.u64()?;
-                        if b < LATENCY_BUCKETS {
-                            snap.events_per_wake[b] = v;
+                        if let Some(slot) = snap.events_per_wake.get_mut(b) {
+                            *slot = v;
                         }
                     }
                 }
@@ -893,23 +753,11 @@ impl MetricsSnapshot {
                     let fields = body.u16()? as usize;
                     let mut shards = Vec::with_capacity(n);
                     for _ in 0..n {
-                        let mut vals = [0u64; SHARD_FIELDS];
-                        for (f, slot) in vals.iter_mut().enumerate().take(fields.min(SHARD_FIELDS))
-                        {
-                            let _ = f;
-                            *slot = body.u64()?;
+                        let mut shard = ShardStats::default();
+                        for f in 0..fields {
+                            shard.assign_counter(f, body.u64()?);
                         }
-                        for _ in SHARD_FIELDS..fields {
-                            let _ = body.u64()?; // fields from a newer schema
-                        }
-                        shards.push(ShardStats {
-                            docs: vals[0],
-                            busy_ns: vals[1],
-                            queue_depth: vals[2],
-                            queue_depth_peak: vals[3],
-                            parked: vals[4],
-                            jobs: vals[5],
-                        });
+                        shards.push(shard);
                     }
                     snap.shards = shards;
                 }
@@ -1484,6 +1332,51 @@ mod tests {
         // Encoding is deterministic: re-encoding the decoded snapshot is
         // bit-identical.
         assert_eq!(decoded.encode(), bytes);
+    }
+
+    /// `busy_snapshot().encode()` as the schema-v1 encoder wrote it: pins
+    /// every counter, stage, bucket and shard-field position (the
+    /// roundtrip tests pass under any consistent reordering).
+    const BUSY_SNAPSHOT_HEX: &str = concat!(
+        "01000100e20000001c00070000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000200000000000000b80b00000000",
+        "00007805000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000010000000000",
+        "00000000000000000000290000000000000000000000000000000200000000000000020020000000",
+        "02000200656e0100000000000000080065737061c3b16f6c01000000000000000300660100000800",
+        "64000000000000002c01000000000000e803000000000000b80b0000000000001027000000000000",
+        "3075000000000000a086010000000000e09304000000000004000900000000000000000000000000",
+        "00000000010000000000000000000000000000000100000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000200000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000001000000000000000100000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000010000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000004004a00",
+        "00000900000000000000000000000000000000000100000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000005006400",
+        "00000200060001000000000000000000000000000000010000000000000001000000000000000000",
+        "00000000000001000000000000000100000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000060028000000010002000000110000000000",
+        "00000103000000000000005a00000000000000070000000000000000070092000000020000004600",
+        "efbeadde000000000300000000000000010000000900000009070010000040420f0000000000c201",
+        "0000000000005a00000000000000fa00000000000000280000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000008006a000000010000000600030080841e000000",
+        "000040420f0000000000780000000000000000001000000000000100000000000000000000000000",
+        "000002003c0000000000000000a3e111000000000200000000000000000000000000000000000000",
+        "000000000000000000000000090006000000040061767832",
+    );
+
+    #[test]
+    fn busy_snapshot_bytes_match_the_golden_encoding() {
+        let hex: String = busy_snapshot()
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, BUSY_SNAPSHOT_HEX);
     }
 
     #[test]

@@ -676,7 +676,8 @@ fn report_span_timing(client: &mut ClassifyClient) -> Result<(), String> {
 /// (`u64::MAX` is the overflow bucket).
 fn fmt_bound_us(v: u64) -> String {
     if v == u64::MAX {
-        format!(">{}", lcbloom::service::LATENCY_BOUNDS_US[7])
+        let bounds = lcbloom::service::LATENCY_BOUNDS_US;
+        format!(">{}", bounds[bounds.len() - 1])
     } else {
         format!("≤{v}")
     }
@@ -754,12 +755,7 @@ fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
             s.jobs
         );
     }
-    for (name, hist) in [
-        ("latency", &snap.latency),
-        ("queue-wait", &snap.queue_wait),
-        ("classify", &snap.classify),
-        ("response-drain", &snap.response_drain),
-    ] {
+    for (name, hist) in snap.stages() {
         let p = |q: f64| {
             lcbloom::service::histogram_percentile_us(hist, q)
                 .map(fmt_bound_us)

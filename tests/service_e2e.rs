@@ -1035,12 +1035,7 @@ fn wire_stats_match_the_in_process_snapshot_once_quiesced() {
     assert_eq!(wire.latency, local.latency);
     assert_eq!(wire.queue_wait, local.queue_wait);
     assert_eq!(wire.classify, local.classify);
-    for (name, hist) in [
-        ("latency", &wire.latency),
-        ("queue-wait", &wire.queue_wait),
-        ("classify", &wire.classify),
-        ("response-drain", &wire.response_drain),
-    ] {
+    for (name, hist) in wire.stages() {
         assert_eq!(
             hist.iter().sum::<u64>(),
             wire.documents,
