@@ -16,7 +16,7 @@
 //!   for the next `EPOLLOUT` edge.
 //! * [`sys`] — the `extern "C"` declarations themselves plus small safe
 //!   helpers (`set_nonblocking` via `fcntl`, `set_send_buffer`,
-//!   `raise_nofile_limit`).
+//!   `set_recv_buffer`, `raise_nofile_limit`).
 //!
 //! Consistent with the offline shim policy (`crates/shims/README.md`),
 //! there are **no external dependencies**: the handful of syscall
@@ -50,7 +50,7 @@ pub mod writebuf;
 pub use epoll::{Epoll, Event, Events, Interest};
 pub use eventfd::EventFd;
 pub use sys::{
-    install_termination_handler, raise_nofile_limit, set_nonblocking, set_send_buffer,
-    termination_requested,
+    install_termination_handler, raise_nofile_limit, set_nonblocking, set_recv_buffer,
+    set_send_buffer, termination_requested,
 };
 pub use writebuf::WriteBuf;

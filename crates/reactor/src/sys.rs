@@ -89,6 +89,7 @@ const O_NONBLOCK: c_int = 0o4000;
 // setsockopt.
 const SOL_SOCKET: c_int = 1;
 const SO_SNDBUF: c_int = 7;
+const SO_RCVBUF: c_int = 8;
 
 // rlimit.
 const RLIMIT_NOFILE: c_int = 7;
@@ -137,13 +138,27 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
 /// benches can make a peer's send window small enough to exercise
 /// partial-write and slow-consumer paths quickly.
 pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    set_buffer_size(fd, SO_SNDBUF, bytes)
+}
+
+/// Set `SO_RCVBUF` on a socket fd.
+///
+/// Same kernel doubling and clamping as [`set_send_buffer`]. A small
+/// receive buffer caps how much a non-reading peer absorbs, so a test's
+/// slow consumer stalls the server's writes on any host instead of
+/// depending on the kernel's receive-buffer auto-tuning.
+pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+    set_buffer_size(fd, SO_RCVBUF, bytes)
+}
+
+fn set_buffer_size(fd: RawFd, opt: c_int, bytes: usize) -> io::Result<()> {
     let val = bytes.min(c_int::MAX as usize) as c_int;
     // SAFETY: optval points at a live c_int and optlen matches its size.
     cvt(unsafe {
         ffi::setsockopt(
             fd,
             SOL_SOCKET,
-            SO_SNDBUF,
+            opt,
             (&val as *const c_int).cast::<c_void>(),
             std::mem::size_of::<c_int>() as u32,
         )
@@ -224,10 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn send_buffer_can_be_shrunk() {
+    fn socket_buffers_can_be_shrunk() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         set_send_buffer(stream.as_raw_fd(), 4096).unwrap();
+        set_recv_buffer(stream.as_raw_fd(), 4096).unwrap();
     }
 
     #[test]

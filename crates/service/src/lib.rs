@@ -80,7 +80,9 @@ pub mod worker;
 
 pub use chaos::{ChaosConfig, FaultPlan, FaultSite};
 pub use client::{ClassifyClient, ClientError, RetryPolicy, ServedResult};
-pub use lc_reactor::{install_termination_handler, raise_nofile_limit, termination_requested};
+pub use lc_reactor::{
+    install_termination_handler, raise_nofile_limit, set_recv_buffer, termination_requested,
+};
 pub use metrics::{
     histogram_percentile_us, latency_bucket, DocTimings, MetricsSnapshot, ServiceMetrics,
     ShardCounters, ShardStats, SnapshotDecodeError, EVENTS_PER_WAKE_BOUNDS, LATENCY_BOUNDS_US,
@@ -91,8 +93,8 @@ pub use ring::{EventRing, RingEvent, RingSet, RingTag};
 pub use server::{serve, ServerHandle, ServiceConfig};
 pub use session::Session;
 pub use trace::{
-    derive_trace_id, fault_name, HistoryRing, HistoryShard, HistorySlot, SpanRecord, SpanSet,
-    FAULT_WORKER_DELAY, HISTORY_SLOTS, SPAN_BUFFER, SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_PARKED,
-    SPAN_SAMPLED, SPAN_SLOW,
+    derive_trace_id, fault_name, HistoryShard, HistorySlot, SpanRecord, SpanSet,
+    FAULT_WORKER_DELAY, SPAN_BUFFER, SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_PARKED, SPAN_SAMPLED,
+    SPAN_SLOW,
 };
 pub use worker::{ChannelKey, WorkerPool};

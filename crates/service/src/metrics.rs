@@ -7,10 +7,11 @@
 //! outbound high-water stalls, slow-consumer resets), reactor-loop
 //! telemetry (epoll wakeups, events-per-wake distribution, read/write
 //! syscalls, eventfd wakes), per-worker-shard counters, and fixed-bucket
-//! latency histograms — the end-to-end document service time (Size seen →
-//! result latched) *decomposed* into queue-wait, classify, and
-//! response-drain stages so a throughput cliff can be attributed to
-//! queuing vs compute vs the write path.
+//! latency histograms — the end-to-end document service time (Size
+//! enqueued at its shard → result latched) with its queue-wait and
+//! classify stages, plus the response-drain stage after it, so a
+//! throughput cliff can be attributed to queuing vs compute vs the write
+//! path.
 //!
 //! Each counter, shard field and latency stage is declared once, in wire
 //! order, in a `metric_table!`; it generates the live atomics, the
@@ -25,7 +26,7 @@
 
 use crate::ring::RingEvent;
 use crate::sync::{AtomicU64, Ordering};
-use crate::trace::{HistoryShard, HistorySlot, SpanRecord};
+use crate::trace::SpanRecord;
 use std::time::Duration;
 
 /// Upper bounds of the latency histogram buckets, in microseconds; one
@@ -56,16 +57,19 @@ pub fn latency_bucket(d: Duration) -> usize {
         .unwrap_or(LATENCY_BOUNDS_US.len())
 }
 
-/// Per-document stage timings handed to
-/// [`ServiceMetrics::record_document`] when a result latches.
+/// One document's timeline, handed to [`ServiceMetrics::record_document`]
+/// when its result latches and copied into its trace span. `queue_wait`
+/// and `classify` are disjoint sub-intervals of `total`, read from one
+/// monotonic clock, so `queue_wait + classify <= total`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DocTimings {
-    /// Size decoded → result latched: the end-to-end service time.
+    /// Size enqueued at its shard → result latched: the end-to-end
+    /// service time.
     pub total: Duration,
-    /// Time the document's command frames spent enqueued in the shard
-    /// queue (shard-enqueued → worker-dequeued, summed over its frames).
+    /// Size enqueued at its shard → Size dequeued by the worker.
     pub queue_wait: Duration,
-    /// Time spent feeding payload bytes through the classifier.
+    /// Time spent feeding payload bytes through the classifier, plus
+    /// `finish`.
     pub classify: Duration,
 }
 
@@ -245,9 +249,6 @@ metric_table! {
         /// tracing server (`--trace-sample`/`--trace-slow-us`); empty in
         /// plain snapshots and at lower detail.
         pub spans: Vec<SpanRecord>,
-        /// Time-series history slots attached by a `GetStats(detail=2)`
-        /// answer when the server's sampler is running; empty otherwise.
-        pub history: Vec<HistorySlot>,
         /// Classify probe path the server selected (`"scalar"`/`"avx2"`);
         /// empty when the server predates the field or never set it.
         pub simd: String,
@@ -318,8 +319,8 @@ metric_table! {
         eventfd_wakes,
         /// Socket read syscalls issued by the reactors.
         read_syscalls,
-        /// Socket write passes issued by the reactors (write-through and
-        /// queued flushes).
+        /// Socket write passes: the workers' write-through and the
+        /// reactors' queued flushes.
         write_syscalls,
         /// Reads that left a frame mid-reassembly (short-read continuations:
         /// the frame completed only on a later read).
@@ -327,11 +328,14 @@ metric_table! {
     }
 
     stages {
-        /// End-to-end latency histogram: `LATENCY_BOUNDS_US` buckets + overflow.
+        /// End-to-end latency histogram (Size enqueued at its shard →
+        /// result latched): `LATENCY_BOUNDS_US` buckets + overflow.
         latency,
-        /// Queue-wait stage histogram (shard-enqueued → worker-dequeued).
+        /// Queue-wait stage histogram (Size enqueued at its shard → Size
+        /// dequeued by the worker).
         queue_wait,
-        /// Classify stage histogram (time feeding the classifier).
+        /// Classify stage histogram (time feeding the classifier, plus
+        /// `finish`).
         classify,
         /// Response-drain stage histogram (result latched → response bytes
         /// flushed into the socket).
@@ -487,6 +491,9 @@ const SEC_WAKE_HIST: u16 = 4;
 const SEC_SHARDS: u16 = 5;
 const SEC_RINGS: u16 = 6;
 const SEC_SPANS: u16 = 7;
+/// Retired: the server-side rate history this section carried is gone
+/// (watchers compute rates from two snapshots). The tag stays reserved
+/// so dumps recorded before then still decode.
 const SEC_HISTORY: u16 = 8;
 const SEC_SIMD: u16 = 9;
 
@@ -496,10 +503,6 @@ const SHARD_FIELDS: usize = ShardStats::COUNTERS;
 /// section header so a future schema can append fields that old decoders
 /// skip per-record.
 const SPAN_RECORD_BYTES: usize = 70;
-/// `u64` fields per history slot (before the per-shard table).
-const HISTORY_SLOT_FIELDS: usize = 6;
-/// `u64` fields per history-slot shard entry.
-const HISTORY_SHARD_FIELDS: usize = 3;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -651,32 +654,6 @@ impl MetricsSnapshot {
             put_section(&mut out, SEC_SPANS, &body);
         }
 
-        if !self.history.is_empty() {
-            let mut body = Vec::new();
-            put_u32(&mut body, self.history.len() as u32);
-            put_u16(&mut body, HISTORY_SLOT_FIELDS as u16);
-            put_u16(&mut body, HISTORY_SHARD_FIELDS as u16);
-            for slot in &self.history {
-                for v in [
-                    slot.ts_ns,
-                    slot.interval_us,
-                    slot.docs,
-                    slot.doc_bytes,
-                    slot.errors,
-                    slot.faults,
-                ] {
-                    put_u64(&mut body, v);
-                }
-                put_u16(&mut body, slot.shards.len() as u16);
-                for sh in &slot.shards {
-                    put_u64(&mut body, sh.docs);
-                    put_u64(&mut body, sh.busy_ns);
-                    put_u64(&mut body, sh.queue_depth);
-                }
-            }
-            put_section(&mut out, SEC_HISTORY, &body);
-        }
-
         if !self.simd.is_empty() {
             let b = self.simd.as_bytes();
             let b = &b[..b.len().min(u16::MAX as usize)];
@@ -807,49 +784,8 @@ impl MetricsSnapshot {
                     }
                     snap.spans = spans;
                 }
-                SEC_HISTORY => {
-                    let n = body.u32()? as usize;
-                    let slot_fields = body.u16()? as usize;
-                    let shard_fields = body.u16()? as usize;
-                    if slot_fields < HISTORY_SLOT_FIELDS || shard_fields < HISTORY_SHARD_FIELDS {
-                        return Err(SnapshotDecodeError("history slot shorter than known"));
-                    }
-                    let mut history = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        let mut vals = [0u64; HISTORY_SLOT_FIELDS];
-                        for slot in vals.iter_mut() {
-                            *slot = body.u64()?;
-                        }
-                        for _ in HISTORY_SLOT_FIELDS..slot_fields {
-                            let _ = body.u64()?; // fields from a newer schema
-                        }
-                        let shard_count = body.u16()? as usize;
-                        let mut shards = Vec::with_capacity(shard_count.min(1024));
-                        for _ in 0..shard_count {
-                            let docs = body.u64()?;
-                            let busy_ns = body.u64()?;
-                            let queue_depth = body.u64()?;
-                            for _ in HISTORY_SHARD_FIELDS..shard_fields {
-                                let _ = body.u64()?;
-                            }
-                            shards.push(HistoryShard {
-                                docs,
-                                busy_ns,
-                                queue_depth,
-                            });
-                        }
-                        history.push(HistorySlot {
-                            ts_ns: vals[0],
-                            interval_us: vals[1],
-                            docs: vals[2],
-                            doc_bytes: vals[3],
-                            errors: vals[4],
-                            faults: vals[5],
-                            shards,
-                        });
-                    }
-                    snap.history = history;
-                }
+                // A dump recorded before the section was retired: skipped.
+                SEC_HISTORY => {}
                 SEC_SIMD => {
                     let len = body.u16()? as usize;
                     snap.simd = std::str::from_utf8(body.take(len)?)
@@ -1304,22 +1240,6 @@ mod tests {
             },
             SpanRecord::default(),
         ];
-        snap.history = vec![HistorySlot {
-            ts_ns: 2_000_000,
-            interval_us: 1_000_000,
-            docs: 120,
-            doc_bytes: 1 << 20,
-            errors: 1,
-            faults: 0,
-            shards: vec![
-                HistoryShard {
-                    docs: 60,
-                    busy_ns: 300_000_000,
-                    queue_depth: 2,
-                },
-                HistoryShard::default(),
-            ],
-        }];
         snap
     }
 
@@ -1334,10 +1254,42 @@ mod tests {
         assert_eq!(decoded.encode(), bytes);
     }
 
-    /// `busy_snapshot().encode()` as the schema-v1 encoder wrote it: pins
+    /// `busy_snapshot().encode()` as the schema-v1 encoder writes it: pins
     /// every counter, stage, bucket and shard-field position (the
     /// roundtrip tests pass under any consistent reordering).
     const BUSY_SNAPSHOT_HEX: &str = concat!(
+        "01000100e20000001c00070000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000200000000000000b80b00000000",
+        "00007805000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000010000000000",
+        "00000000000000000000290000000000000000000000000000000200000000000000020020000000",
+        "02000200656e0100000000000000080065737061c3b16f6c01000000000000000300660100000800",
+        "64000000000000002c01000000000000e803000000000000b80b0000000000001027000000000000",
+        "3075000000000000a086010000000000e09304000000000004000900000000000000000000000000",
+        "00000000010000000000000000000000000000000100000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000200000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000001000000000000000100000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000010000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000004004a00",
+        "00000900000000000000000000000000000000000100000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000005006400",
+        "00000200060001000000000000000000000000000000010000000000000001000000000000000000",
+        "00000000000001000000000000000100000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000060028000000010002000000110000000000",
+        "00000103000000000000005a00000000000000070000000000000000070092000000020000004600",
+        "efbeadde000000000300000000000000010000000900000009070010000040420f0000000000c201",
+        "0000000000005a00000000000000fa00000000000000280000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000090006000000040061767832",
+    );
+
+    /// Recorded traffic: `busy_snapshot()` as the encoder wrote it while
+    /// `SEC_HISTORY` was live, carrying one history slot. Old dumps and
+    /// old servers still produce these bytes.
+    const RECORDED_BUSY_SNAPSHOT_HEX: &str = concat!(
         "01000100e20000001c00070000000000000000000000000000000000000000000000000000000000",
         "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
         "00000000000000000000000000000000000000000000000000000200000000000000b80b00000000",
@@ -1369,6 +1321,13 @@ mod tests {
         "000000000000000000000000090006000000040061767832",
     );
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn busy_snapshot_bytes_match_the_golden_encoding() {
         let hex: String = busy_snapshot()
@@ -1377,6 +1336,35 @@ mod tests {
             .map(|b| format!("{b:02x}"))
             .collect();
         assert_eq!(hex, BUSY_SNAPSHOT_HEX);
+    }
+
+    #[test]
+    fn recorded_dumps_with_a_history_section_still_decode() {
+        let decoded = MetricsSnapshot::decode(&unhex(RECORDED_BUSY_SNAPSHOT_HEX))
+            .expect("recorded dump decodes");
+        assert_eq!(decoded, busy_snapshot());
+    }
+
+    #[test]
+    fn golden_is_the_recorded_dump_minus_its_history_section() {
+        let recorded = unhex(RECORDED_BUSY_SNAPSHOT_HEX);
+        let mut stripped = recorded[..2].to_vec();
+        let mut r = Reader {
+            buf: &recorded[2..],
+        };
+        let mut dropped = 0;
+        while !r.is_empty() {
+            let tag = r.u16().unwrap();
+            let len = r.u32().unwrap() as usize;
+            let body = r.take(len).unwrap();
+            if tag == SEC_HISTORY {
+                dropped += 1;
+            } else {
+                put_section(&mut stripped, tag, body);
+            }
+        }
+        assert_eq!(dropped, 1, "the recorded dump carries one history section");
+        assert_eq!(stripped, unhex(BUSY_SNAPSHOT_HEX));
     }
 
     #[test]
@@ -1405,14 +1393,13 @@ mod tests {
     }
 
     #[test]
-    fn plain_snapshots_carry_no_span_or_history_sections() {
+    fn plain_snapshots_carry_no_span_section() {
         // Detail ≤ 1 answers must stay bit-identical to the PR 7 schema:
-        // the span and history sections only exist when populated, so a
-        // plain snapshot's bytes list exactly the original section tags.
+        // the span section only exists when populated, so a plain
+        // snapshot's bytes list exactly the original section tags.
         let mut snap = busy_snapshot();
         snap.rings.clear();
         snap.spans.clear();
-        snap.history.clear();
         snap.simd.clear();
         let bytes = snap.encode();
         let mut r = Reader { buf: &bytes[2..] }; // skip the version word
@@ -1469,10 +1456,6 @@ mod tests {
                 (any::<u64>(), 0u64..1 << 40, any::<u16>(), 0u16..64, any::<u32>(),
                  any::<u8>(), 0u8..12, any::<u32>(),
                  proptest::collection::vec(0u64..1 << 40, 5)), 0..6),
-            history in proptest::collection::vec(
-                (proptest::collection::vec(0u64..1 << 40, HISTORY_SLOT_FIELDS),
-                 proptest::collection::vec(
-                     proptest::collection::vec(0u64..1 << 40, HISTORY_SHARD_FIELDS), 0..4)), 0..4),
             simd in proptest::SampleFn(|rng: &mut proptest::TestRng| {
                 ["", "scalar", "avx2"][(rng.next_u64() % 3) as usize].to_string()
             }),
@@ -1526,25 +1509,6 @@ mod tests {
                             }
                         },
                     )
-                    .collect(),
-                history: history
-                    .iter()
-                    .map(|(vals, shards)| HistorySlot {
-                        ts_ns: vals[0],
-                        interval_us: vals[1],
-                        docs: vals[2],
-                        doc_bytes: vals[3],
-                        errors: vals[4],
-                        faults: vals[5],
-                        shards: shards
-                            .iter()
-                            .map(|v| HistoryShard {
-                                docs: v[0],
-                                busy_ns: v[1],
-                                queue_depth: v[2],
-                            })
-                            .collect(),
-                    })
                     .collect(),
                 ..MetricsSnapshot::default()
             };

@@ -341,6 +341,7 @@ impl ResponseSink {
             // reactor to discover and act on (the remainder stays queued).
             let OutboundInner { buf, stream, .. } = &mut *inner;
             if let Some(stream) = stream {
+                self.metrics.write_syscalls.fetch_add(1, Ordering::Relaxed);
                 let _ = buf.write_to(stream);
             }
             inner.note_flushed(&self.metrics);

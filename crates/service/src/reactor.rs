@@ -54,7 +54,7 @@ use crate::metrics::ServiceMetrics;
 use crate::outbound::{high_water_op, MaskOp, NewConn, OutboundInner, ReactorWaker, ResponseSink};
 use crate::ring::{EventRing, RingSet, RingTag};
 use crate::sync::{AtomicBool, Ordering};
-use crate::trace::{HistoryRing, SpanSet};
+use crate::trace::SpanSet;
 use crate::worker::{ChannelKey, Job};
 
 /// Token reserved for the reactor's own eventfd.
@@ -169,8 +169,6 @@ pub(crate) struct ReactorControl {
     pub rings: Option<Arc<RingSet>>,
     /// Span plane for `GetStats(detail=2)` dumps (`None` = tracing off).
     pub spans: Option<Arc<SpanSet>>,
-    /// Time-series ring for `GetStats(detail=2)` dumps (`None` = off).
-    pub history: Option<Arc<HistoryRing>>,
 }
 
 /// Spawn one reactor thread.
@@ -191,7 +189,6 @@ pub(crate) fn spawn_reactor(
         plan,
         rings,
         spans,
-        history,
     } = control;
     let ring = rings.as_ref().and_then(|r| r.ring(index)).cloned();
     let mut reactor = Reactor {
@@ -206,7 +203,6 @@ pub(crate) fn spawn_reactor(
         ring,
         rings,
         spans,
-        history,
         cfg,
         conns: HashMap::new(),
         deferred: Vec::new(),
@@ -236,8 +232,6 @@ struct Reactor {
     rings: Option<Arc<RingSet>>,
     /// Span plane, drained into `GetStats(detail=2)` answers.
     spans: Option<Arc<SpanSet>>,
-    /// History ring, copied into `GetStats(detail=2)` answers.
-    history: Option<Arc<HistoryRing>>,
     cfg: ReactorConfig,
     conns: HashMap<u64, Conn>,
     /// Connections that left their last service pass with work no external
@@ -688,7 +682,6 @@ impl Reactor {
             ring,
             rings,
             spans,
-            history,
             ..
         } = self;
         let Some(c) = conns.get_mut(&conn) else {
@@ -721,13 +714,10 @@ impl Reactor {
                                     }
                                     // detail=2 adds the trace plane: the
                                     // span dump *drains* (each span is
-                                    // reported once); history is copied.
+                                    // reported once).
                                     if detail >= 2 {
                                         if let Some(sp) = spans {
                                             snap.spans = sp.drain();
-                                        }
-                                        if let Some(h) = history {
-                                            snap.history = h.dump();
                                         }
                                     }
                                     if let Some(r) = ring {

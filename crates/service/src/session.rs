@@ -75,15 +75,19 @@ pub struct Session {
     latched: Option<LatchedResult>,
     watchdog: Duration,
     last_activity: Instant,
-    doc_started: Instant,
     /// Worker shard this session lives on (`usize::MAX` = unattributed,
     /// e.g. in unit tests that drive a session directly).
     shard: usize,
-    /// Queue-wait accumulated by the in-flight document's commands
-    /// (shard-enqueued → worker-dequeued, summed over its frames).
-    queue_wait: Duration,
-    /// Time spent feeding this document through the classifier.
-    classify_time: Duration,
+    /// The current document's timeline, from which `timings` builds the
+    /// one [`DocTimings`] its histograms and span share. The accept edge:
+    /// the Size frame's shard-enqueue stamp (the `now` passed with the
+    /// Size when driven without a worker in front).
+    accepted: Instant,
+    /// When the worker dequeued the Size frame (the `now` passed with it).
+    started: Instant,
+    /// Time spent feeding this document through the classifier, plus
+    /// `finish`.
+    classify: Duration,
     /// Span plane shared by every session when tracing is on. `None`
     /// (tracing off) costs one branch per document and nothing else.
     trace: Option<Arc<SpanSet>>,
@@ -97,18 +101,9 @@ pub struct Session {
     span_fault: u8,
     /// Head-based sampling decision, taken once at Size time.
     span_armed: bool,
-    /// The span's accept edge: the Size command's shard-enqueue stamp.
-    span_accept: Instant,
     /// Shard-enqueue stamp of the command about to be applied (a Size
     /// consumes it as the accept edge).
     last_enqueued: Option<Instant>,
-    /// Queue wait of the command about to be applied.
-    last_cmd_wait: Duration,
-    /// Queue-wait restricted to this document's own frames — unlike
-    /// `queue_wait` (which, resetting at latch, smears the previous
-    /// document's EoD/Query waits forward), this resets at Size so the
-    /// span's stages stay disjoint sub-intervals of [accept, latch].
-    span_queue_wait: Duration,
     /// A parked frame arrived while idle: flags the *next* document.
     parked_pending: bool,
     /// Payload bytes announced by the in-flight document's Size.
@@ -130,10 +125,10 @@ impl Session {
             latched: None,
             watchdog,
             last_activity: now,
-            doc_started: now,
             shard: usize::MAX,
-            queue_wait: Duration::ZERO,
-            classify_time: Duration::ZERO,
+            accepted: now,
+            started: now,
+            classify: Duration::ZERO,
             trace: None,
             conn_id: 0,
             channel: 0,
@@ -142,10 +137,7 @@ impl Session {
             span_flags: 0,
             span_fault: 0,
             span_armed: false,
-            span_accept: now,
             last_enqueued: None,
-            last_cmd_wait: Duration::ZERO,
-            span_queue_wait: Duration::ZERO,
             parked_pending: false,
             span_doc_bytes: 0,
             pending_span: None,
@@ -160,16 +152,6 @@ impl Session {
         self.shard = shard;
     }
 
-    /// Accumulate queue-wait observed for one of this session's commands
-    /// (stamped at shard-enqueue by the reactor, measured at dequeue by
-    /// the worker). Folded into the queue-wait histogram when the current
-    /// document latches.
-    pub fn note_queue_wait(&mut self, wait: Duration) {
-        self.queue_wait += wait;
-        self.span_queue_wait += wait;
-        self.last_cmd_wait = wait;
-    }
-
     /// Attach the span plane and this session's channel identity (set by
     /// the owning worker at channel open, alongside [`Session::set_shard`]).
     pub fn set_trace(&mut self, set: Arc<SpanSet>, conn: u64, channel: u16) {
@@ -179,8 +161,8 @@ impl Session {
     }
 
     /// Record the shard-enqueue stamp of the command about to be applied.
-    /// A Size consumes it as its document's span accept edge, so the span
-    /// covers the same interval the queue-wait histogram measures.
+    /// A Size consumes it as its document's accept edge, where the
+    /// document's timeline (and so its latency and queue-wait) starts.
     pub fn note_enqueued(&mut self, enqueued: Instant) {
         self.last_enqueued = Some(enqueued);
     }
@@ -224,6 +206,19 @@ impl Session {
         matches!(self.state, State::Receiving { .. })
     }
 
+    /// Whether a worker panic while applying `cmd` leaves a document
+    /// without its one response, so an `EngineFault` is owed. A draining
+    /// session's document was already answered (by a fault or an earlier
+    /// panic) and its leftover frames stay silent, so only the Size that
+    /// would re-arm it opens a new response slot; a Reset never has one.
+    pub fn panic_owes_fault(&self, cmd: &WireCommand) -> bool {
+        match cmd {
+            WireCommand::Size { .. } => true,
+            WireCommand::Reset => false,
+            _ => self.state != State::Draining,
+        }
+    }
+
     /// Put a *fresh* session straight into the draining state. Used when a
     /// worker panic poisoned the previous session mid-document: the
     /// `EngineFault` the worker sends took that document's response slot,
@@ -256,10 +251,12 @@ impl Session {
                 }
                 // A fresh announcement re-arms a draining session.
                 self.state = State::Idle;
-                self.doc_started = now;
+                self.accepted = self.last_enqueued.take().unwrap_or(now);
+                self.started = now;
+                self.classify = Duration::ZERO;
                 self.last_activity = now;
                 self.checksum = 0;
-                self.begin_span(trace, bytes, now);
+                self.begin_span(trace, bytes);
                 if words == 0 {
                     self.latch(metrics, 0, now);
                 } else {
@@ -422,7 +419,7 @@ impl Session {
             }
         }
         debug_assert_eq!(word_off, 0, "payload is whole words");
-        self.classify_time += classify_started.elapsed();
+        self.classify += classify_started.elapsed();
 
         let received_words = received_words + n_words as u32;
         if received_words == expected_words {
@@ -439,28 +436,21 @@ impl Session {
         None
     }
 
-    /// End-of-transfer: classify, latch, and account — total latency plus
-    /// the queue-wait and classify stage accumulators, which reset here
-    /// for the next document (an EoD/Query frame's own queue-wait smears
-    /// into the following document; bounded by two frames and accepted).
+    /// End-of-transfer: classify, latch, and account — the document's one
+    /// [`DocTimings`] goes to the histograms and to its span alike.
     fn latch(&mut self, metrics: &ServiceMetrics, doc_bytes: u32, now: Instant) {
         let finish_started = Instant::now();
         let result = self.stream.finish();
-        self.classify_time += finish_started.elapsed();
+        self.classify += finish_started.elapsed();
+        let timings = self.timings(now);
         metrics.record_document(
             result.best(),
             u64::from(doc_bytes),
             result.total_ngrams(),
             self.shard,
-            DocTimings {
-                total: now.duration_since(self.doc_started),
-                queue_wait: self.queue_wait,
-                classify: self.classify_time,
-            },
+            timings,
         );
-        self.seal_span(now);
-        self.queue_wait = Duration::ZERO;
-        self.classify_time = Duration::ZERO;
+        self.seal_span(timings);
         self.latched = Some(LatchedResult {
             result,
             checksum: self.checksum,
@@ -474,8 +464,6 @@ impl Session {
     fn reset_document(&mut self) {
         self.state = State::Idle;
         self.checksum = 0;
-        self.queue_wait = Duration::ZERO;
-        self.classify_time = Duration::ZERO;
         // A latched-but-unqueried span dies with its document — it never
         // reaches the drain edge, just like the response it described.
         self.pending_span = None;
@@ -499,11 +487,28 @@ impl Session {
         WireResponse::Error { code, detail }
     }
 
+    /// The current document's timeline, closed by a `latched` stamp taken
+    /// now — or at `now`, when the caller's clock is ahead (unit tests
+    /// drive sessions with future instants). Every stamp in it comes from
+    /// one monotonic clock: the feeds and `finish` run after the Size was
+    /// dequeued and before `latched`, so the stages never exceed `total`.
+    fn timings(&self, now: Instant) -> DocTimings {
+        let latched = Instant::now().max(now);
+        let timings = DocTimings {
+            total: latched.duration_since(self.accepted),
+            queue_wait: self.started.duration_since(self.accepted),
+            classify: self.classify,
+        };
+        debug_assert!(
+            timings.queue_wait + timings.classify <= timings.total,
+            "stages exceed the document's timeline: {timings:?}"
+        );
+        timings
+    }
+
     /// Arm the next document's span at its Size frame: derive or adopt
-    /// the trace id, take the head-sampling decision once, and pin the
-    /// accept edge to the Size command's shard-enqueue stamp (falling
-    /// back to `now` when driven without a worker in front).
-    fn begin_span(&mut self, client_trace: Option<u64>, bytes: u32, now: Instant) {
+    /// the trace id and take the head-sampling decision once.
+    fn begin_span(&mut self, client_trace: Option<u64>, bytes: u32) {
         let Some(set) = &self.trace else { return };
         self.doc_seq = self.doc_seq.wrapping_add(1);
         self.span_flags = 0;
@@ -523,30 +528,16 @@ impl Session {
         if std::mem::take(&mut self.parked_pending) {
             self.span_flags |= SPAN_PARKED;
         }
-        self.span_accept = self.last_enqueued.take().unwrap_or(now);
-        // Only the Size's own wait belongs to this document; waits of the
-        // previous document's EoD/Query frames accrued since the last
-        // reset and are discarded here.
-        self.span_queue_wait = self.last_cmd_wait;
-        self.last_cmd_wait = Duration::ZERO;
         self.pending_span = None;
     }
 
-    /// Assemble the current document's span. Everything but drain is
-    /// final here; the record waits in `pending_span` for the response
-    /// that completes the document. Not captured unless sampled, fault-
-    /// annotated, or slower than the `--trace-slow-us` threshold.
-    fn seal_span(&mut self, now: Instant) {
+    /// Assemble the current document's span from its timeline. Everything
+    /// but drain is final here; the record waits in `pending_span` for the
+    /// response that completes the document. Not captured unless sampled,
+    /// fault-annotated, or slower than the `--trace-slow-us` threshold.
+    fn seal_span(&mut self, timings: DocTimings) {
         let Some(set) = &self.trace else { return };
-        let queue_us = self.span_queue_wait.as_micros() as u64;
-        let classify_us = self.classify_time.as_micros() as u64;
-        // Stage accumulators and the end-to-end edges come from separate
-        // clock reads; directly-driven sessions (unit tests hand `apply`
-        // one fixed Instant) can skew them. Clamp so the disjoint-stages
-        // invariant (queue + classify + drain ≤ total) holds by
-        // construction.
-        let total_us = (now.saturating_duration_since(self.span_accept).as_micros() as u64)
-            .max(queue_us + classify_us);
+        let total_us = timings.total.as_micros() as u64;
         if set.slow_us() != 0 && total_us > set.slow_us() {
             self.span_flags |= SPAN_SLOW;
         }
@@ -568,8 +559,8 @@ impl Session {
             doc_bytes: self.span_doc_bytes,
             end_ns: 0,
             total_us,
-            queue_us,
-            classify_us,
+            queue_us: timings.queue_wait.as_micros() as u64,
+            classify_us: timings.classify.as_micros() as u64,
             drain_us: 0,
         };
         self.pending_span = Some(PendingSpan::new(record, Arc::clone(set)));
@@ -577,14 +568,12 @@ impl Session {
 
     /// A fault response consumed the document's response slot, so its
     /// span leaves on the error: seal immediately and stage it for the
-    /// caller's `take_response_span`. (Document-aborting arms reset the
-    /// stage accumulators first — a fault span's identity, site, and
-    /// end-to-end time are what matter.)
+    /// caller's `take_response_span`.
     fn seal_fault_span(&mut self, now: Instant) {
         if self.trace.is_none() {
             return;
         }
-        self.seal_span(now);
+        self.seal_span(self.timings(now));
         self.response_span = self.pending_span.take();
     }
 }

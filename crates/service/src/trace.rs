@@ -1,23 +1,23 @@
-//! Document-granularity trace spans and the time-series history plane.
+//! Document-granularity trace spans and snapshot-delta rates.
 //!
-//! The PR 7 metrics layer answers "what is the server doing" with one
+//! The metrics layer answers "what is the server doing" with one
 //! aggregate snapshot. This module answers the two questions aggregates
-//! cannot: *what happened to this document* (trace spans) and *what
-//! changed over the last two minutes* (history ring).
+//! cannot: *what happened to this document* (trace spans) and *how fast
+//! is it going right now* (a [`HistorySlot`] between two snapshots).
 //!
 //! **Spans.** Every document gets a `trace_id` — client-supplied via the
 //! wire-v2 TraceContext extension on its Size frame (so a balancer tier
 //! can propagate its own id across the hop), or derived from
 //! `(conn, channel, doc_seq)` with the same splitmix64 finalizer the
 //! shard hash uses. Under head-based sampling (`--trace-sample N` keeps
-//! 1-in-N; 0 disables) the session assembles a [`SpanRecord`] from the
-//! timestamps the metrics path already takes — accept (the Size frame's
-//! shard-enqueue stamp), queue-wait, classify, and the outbound flush
-//! stamp for drain — so a sampled-off server pays one branch per
-//! document, nothing more. Chaos-injected faults and documents slower
-//! than `--trace-slow-us` force-sample themselves regardless of the
-//! sampling decision: the interesting documents are exactly the ones a
-//! 1-in-N coin flip would usually miss.
+//! 1-in-N; 0 disables) the session copies the document's one timeline —
+//! the same [`crate::metrics::DocTimings`] the stage histograms record —
+//! into a [`SpanRecord`], and the outbound flush stamp adds the drain
+//! stage, so a sampled-off server pays one branch per document, nothing
+//! more. Chaos-injected faults and documents slower than
+//! `--trace-slow-us` force-sample themselves regardless of the sampling
+//! decision: the interesting documents are exactly the ones a 1-in-N
+//! coin flip would usually miss.
 //!
 //! Completed spans land in a bounded per-shard buffer ([`SpanSet`]),
 //! newest-wins: a full buffer drops its *oldest* record so a live
@@ -26,12 +26,11 @@
 //! decoders skip the tag, so the schema stays v1-compatible — and the
 //! dump *drains*: each span is reported exactly once.
 //!
-//! **History.** A sampler thread snapshots the metrics every
-//! `--history-interval-ms` (default 1 s) and pushes the *delta* into a
-//! fixed 120-slot [`HistoryRing`]. Rates (docs/s, MB/s, per-shard busy
-//! fraction) are computed server-side from real intervals, so a watcher
-//! reconnecting mid-run gets two minutes of honest history instead of
-//! having to subtract two hand-timed pulls.
+//! **Rates.** The server keeps no time series. A watcher (`lcbloom stats
+//! --watch`, `lcbloom top`) polls plain snapshots, keeps the previous
+//! one, and computes [`HistorySlot::delta`] over the interval it measured
+//! between the two polls; rates come from the same counters every other
+//! reader sees.
 
 use crate::metrics::MetricsSnapshot;
 use std::collections::VecDeque;
@@ -43,9 +42,6 @@ use std::time::{Duration, Instant};
 /// onto current traffic, not an archive — a saturated shard wraps in
 /// well under a second at full sampling.
 pub const SPAN_BUFFER: usize = 256;
-
-/// Slots in the history ring: two minutes at the default 1 s interval.
-pub const HISTORY_SLOTS: usize = 120;
 
 /// Span flag: the head-based sampler chose this document.
 pub const SPAN_SAMPLED: u8 = 1;
@@ -130,9 +126,9 @@ pub struct SpanRecord {
     /// End-to-end time: Size accepted at its shard queue → result bytes
     /// flushed into the socket, in microseconds.
     pub total_us: u64,
-    /// Time the document's command frames spent queued for their shard.
+    /// Size accepted at its shard queue → Size dequeued by the worker.
     pub queue_us: u64,
-    /// Time feeding payload bytes through the classifier.
+    /// Time feeding payload bytes through the classifier, plus `finish`.
     pub classify_us: u64,
     /// Result latched → response bytes flushed into the socket.
     pub drain_us: u64,
@@ -271,14 +267,15 @@ pub struct HistoryShard {
     pub queue_depth: u64,
 }
 
-/// One interval of server activity: counter deltas over a measured
-/// wall-clock window, from which rates are computed server-side.
+/// One interval of server activity: counter deltas between two snapshots
+/// over the wall-clock window the caller measured between them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistorySlot {
-    /// Slot end, nanoseconds since the server's serving epoch.
+    /// Slot end, nanoseconds since the caller's epoch (a watcher's
+    /// first poll).
     pub ts_ns: u64,
-    /// The slot's actual wall-clock length in microseconds (the sampler
-    /// measures; it does not assume its nominal interval).
+    /// The slot's measured wall-clock length in microseconds (not the
+    /// nominal poll interval).
     pub interval_us: u64,
     /// Documents classified during the slot.
     pub docs: u64,
@@ -351,43 +348,6 @@ impl HistorySlot {
             return 0.0;
         }
         (s.busy_ns as f64 / 1e3 / self.interval_us as f64).min(1.0)
-    }
-}
-
-/// The fixed-depth time-series ring the sampler thread feeds: the last
-/// [`HISTORY_SLOTS`] intervals, oldest evicted first. Dumping *copies*
-/// (unlike span dumps): several watchers can follow the same history.
-#[derive(Debug)]
-pub struct HistoryRing {
-    slots: Mutex<VecDeque<HistorySlot>>,
-}
-
-impl HistoryRing {
-    /// An empty ring.
-    pub fn new() -> Self {
-        Self {
-            slots: Mutex::new(VecDeque::with_capacity(HISTORY_SLOTS)),
-        }
-    }
-
-    /// Append a slot, evicting the oldest past [`HISTORY_SLOTS`].
-    pub fn push(&self, slot: HistorySlot) {
-        let mut slots = unpoisoned(self.slots.lock());
-        if slots.len() >= HISTORY_SLOTS {
-            slots.pop_front();
-        }
-        slots.push_back(slot);
-    }
-
-    /// The buffered slots, oldest first.
-    pub fn dump(&self) -> Vec<HistorySlot> {
-        unpoisoned(self.slots.lock()).iter().cloned().collect()
-    }
-}
-
-impl Default for HistoryRing {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -474,23 +434,6 @@ mod tests {
         assert!((slot.mb_per_s() - mbps).abs() < 0.01);
         assert_eq!(slot.shards.len(), 2);
         assert_eq!(slot.shards[0].docs, 500);
-    }
-
-    #[test]
-    fn history_ring_holds_the_last_window() {
-        let ring = HistoryRing::new();
-        for i in 0..(HISTORY_SLOTS as u64 + 5) {
-            ring.push(HistorySlot {
-                ts_ns: i,
-                ..HistorySlot::default()
-            });
-        }
-        let slots = ring.dump();
-        assert_eq!(slots.len(), HISTORY_SLOTS);
-        assert_eq!(slots[0].ts_ns, 5);
-        assert_eq!(slots.last().unwrap().ts_ns, HISTORY_SLOTS as u64 + 4);
-        // Dumps copy: a second watcher sees the same window.
-        assert_eq!(ring.dump().len(), HISTORY_SLOTS);
     }
 
     #[test]

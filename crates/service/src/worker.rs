@@ -92,13 +92,12 @@ impl ChannelKey {
     }
 }
 
-/// One unit of work for a worker. The *watchdog/latency* clock is stamped
-/// by the worker at application, not by the reactor at read: the watchdog
-/// and the end-to-end histogram then measure what the engine observes, and
-/// a command that waited out a queue backlog cannot carry a stale clock
-/// that makes its own healthy session look watchdog-dead. Commands also
-/// carry the reactor's *enqueue* stamp, used only for the queue-wait stage
-/// histogram (dequeue time minus enqueue time).
+/// One unit of work for a worker. The *watchdog* clock is stamped by the
+/// worker at dequeue, not by the reactor at read, so a command that waited
+/// out a queue backlog cannot carry a stale clock that makes its own
+/// healthy session look watchdog-dead. Commands also carry the reactor's
+/// *enqueue* stamp: a Size's is its document's accept edge, where the
+/// end-to-end latency and the queue-wait stage start.
 #[derive(Debug)]
 pub enum Job {
     /// Register a channel session and its response sink.
@@ -115,9 +114,8 @@ pub enum Job {
         key: ChannelKey,
         /// The command.
         cmd: WireCommand,
-        /// When the reactor enqueued the job (shard-enqueue stamp); the
-        /// worker's dequeue time minus this is the command's queue-wait,
-        /// folded into the owning document's stage histogram.
+        /// When the reactor enqueued the job (shard-enqueue stamp); for a
+        /// Size, its document's accept edge.
         enqueued: Instant,
         /// The reactor parked this command before it fit into the shard
         /// queue (backpressure); annotates the owning document's span.
@@ -134,13 +132,14 @@ pub enum Job {
 /// The part of a shard that must survive its thread: sessions (with their
 /// response sinks — losing a sink strands a channel's close accounting),
 /// the job receiver (losing it disconnects the reactors), and the key
-/// whose apply is in flight (the quarantine target after a thread death).
+/// whose apply is in flight (the quarantine target after a thread death)
+/// with whether a panic there owes its client an `EngineFault`.
 #[derive(Debug)]
 struct ShardState {
     index: usize,
     sessions: Mutex<HashMap<ChannelKey, (Session, ResponseSink)>>,
     rx: Mutex<Receiver<Job>>,
-    current: Mutex<Option<ChannelKey>>,
+    current: Mutex<Option<(ChannelKey, bool)>>,
 }
 
 /// Everything a shard thread (or its respawn) needs, shared pool-wide.
@@ -254,7 +253,6 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                     } => {
                         if let Some((s, sink)) = sessions.get_mut(&key) {
                             s.note_enqueued(enqueued);
-                            s.note_queue_wait(dequeued.duration_since(enqueued));
                             if parked {
                                 s.note_parked();
                             }
@@ -266,7 +264,8 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                                     s.trace_fault(FAULT_WORKER_DELAY);
                                 }
                             }
-                            *unpoisoned(shard.current.lock()) = Some(key);
+                            let owed = s.panic_owes_fault(&cmd);
+                            *unpoisoned(shard.current.lock()) = Some((key, owed));
                             let applied = catch_unwind(AssertUnwindSafe(|| {
                                 if let Some(plan) = &rt.chaos {
                                     if plan.fire(FaultSite::WorkerPanic) {
@@ -274,7 +273,7 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                                         panic!("chaos: injected worker panic");
                                     }
                                 }
-                                s.apply(&rt.classifier, &rt.metrics, cmd, Instant::now())
+                                s.apply(&rt.classifier, &rt.metrics, cmd, dequeued)
                             }));
                             *unpoisoned(shard.current.lock()) = None;
                             if let Some(sc) = rt.metrics.shard(shard.index) {
@@ -290,17 +289,20 @@ fn run_shard(shard: &ShardState, rt: &PoolRuntime) {
                                     // The panic unwound mid-apply: the
                                     // session state is unknowable. Replace
                                     // it, quarantined, and answer the
-                                    // poisoned document in its slot.
+                                    // poisoned document in its slot unless
+                                    // that slot was already answered.
                                     rt.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
                                     rt.push_panic_span(shard.index, key);
                                     let mut fresh = rt.fresh_session(shard.index, key);
                                     fresh.quarantine();
                                     *s = fresh;
-                                    sink.send(&WireResponse::Error {
-                                        code: ErrorCode::EngineFault,
-                                        detail: "worker panicked mid-document; session reset"
-                                            .into(),
-                                    });
+                                    if owed {
+                                        sink.send(&WireResponse::Error {
+                                            code: ErrorCode::EngineFault,
+                                            detail: "worker panicked mid-document; session reset"
+                                                .into(),
+                                        });
+                                    }
                                 }
                             }
                         }
@@ -363,19 +365,21 @@ fn supervise(
         rt.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
         let shard = &shards[index];
         // If an apply was in flight when the thread died, that document's
-        // session is poisoned and its client is owed a response: same
+        // session is poisoned and its client may be owed a response: same
         // quarantine-and-fault treatment as the in-thread guard.
-        if let Some(key) = unpoisoned(shard.current.lock()).take() {
+        if let Some((key, owed)) = unpoisoned(shard.current.lock()).take() {
             let mut sessions = unpoisoned(shard.sessions.lock());
             if let Some((s, sink)) = sessions.get_mut(&key) {
                 rt.push_panic_span(index, key);
                 let mut fresh = rt.fresh_session(index, key);
                 fresh.quarantine();
                 *s = fresh;
-                sink.send(&WireResponse::Error {
-                    code: ErrorCode::EngineFault,
-                    detail: "worker thread died mid-document; shard respawned".into(),
-                });
+                if owed {
+                    sink.send(&WireResponse::Error {
+                        code: ErrorCode::EngineFault,
+                        detail: "worker thread died mid-document; shard respawned".into(),
+                    });
+                }
             }
         }
         respawns += 1;

@@ -84,7 +84,6 @@ fn print_usage() {
          \x20                  [--watchdog-ms N] [--stats-secs N] [--stats-interval N]\n\
          \x20                  [--m KBITS] [--k K] [--subsample S] [--trace-ring]\n\
          \x20                  [--trace-sample N] [--trace-slow-us T]\n\
-         \x20                  [--history-interval-ms N]\n\
          \x20                  [--drain-deadline-ms N] [--chaos-seed S] [--chaos-rate R]\n\
          \x20                  [--force-scalar]\n\
          \x20 lcbloom query    --addr HOST:PORT [--channels N] [--window W]\n\
@@ -98,11 +97,12 @@ fn print_usage() {
          `train` expects one directory per language, named by its code (en, fr, ...),\n\
          each containing plain-text files. `classify` and `query` accept `-` for stdin.\n\
          `stats` asks a live server for its metrics snapshot over the wire (--watch\n\
-         repeats every SECS, with server-side rates from the history ring; --ring\n\
+         repeats every SECS and adds the rates between successive snapshots; --ring\n\
          also dumps the --trace-ring flight recorders). `trace` drains the server's\n\
          sampled per-document spans (serve --trace-sample N / --trace-slow-us T) and\n\
          renders a stage waterfall per span; --follow polls until interrupted. `top`\n\
-         renders sparkline rate tables from the server's history ring.\n\
+         renders sparkline rate tables from snapshots polled every --interval SECS\n\
+         (--once: one table from two polls); neither `stats` nor `top` drains spans.\n\
          `--timing` prints p50/p95/p99 in the server's latency buckets; for `query`\n\
          the times come from server-side sampled spans, so the batch stays pipelined.\n\
          `simd` reports this host's CPU features and which probe path a classifier\n\
@@ -374,7 +374,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "chaos-rate",
             "trace-sample",
             "trace-slow-us",
-            "history-interval-ms",
         ],
         &["trace-ring", "force-scalar"],
     )?;
@@ -430,11 +429,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         // captured once any tracing (or chaos) is on.
         trace_sample: parse_num(&flags, "trace-sample", defaults.trace_sample)?,
         trace_slow_us: parse_num(&flags, "trace-slow-us", defaults.trace_slow_us)?,
-        history_interval: std::time::Duration::from_millis(parse_num(
-            &flags,
-            "history-interval-ms",
-            defaults.history_interval.as_millis() as u64,
-        )?),
         ..defaults
     };
     // --stats-interval is the canonical name; --stats-secs kept as the
@@ -708,29 +702,56 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("127.0.0.1:4004");
     let watch = parse_num(&flags, "watch", 0u64)?;
-    // --watch asks for detail 2 so each refresh carries the server's own
-    // history ring: the rates printed are server-computed over measured
-    // intervals, not client-side deltas between polls.
-    let detail = if watch > 0 {
-        2
-    } else {
-        u8::from(flags.contains_key("ring"))
-    };
+    let detail = u8::from(flags.contains_key("ring"));
     // A dedicated connection: GetStats must not interleave with document
     // responses, and a fresh connection has none in flight by construction.
     let mut client =
         ClassifyClient::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+    let epoch = std::time::Instant::now();
+    let mut prev: Option<TimedSnapshot> = None;
     loop {
-        let snap = client
-            .stats(detail)
-            .map_err(|e| format!("fetching stats from {addr}: {e}"))?;
-        print_snapshot(&snap);
+        let cur = poll_stats(&mut client, addr, detail)?;
+        print_snapshot(&cur.0);
+        // --watch: the rates since the previous poll.
+        if let Some(before) = &prev {
+            println!("{}", history_line(&slot_between(before, &cur, epoch)));
+        }
         if watch == 0 {
             return Ok(());
         }
+        prev = Some(cur);
         std::thread::sleep(std::time::Duration::from_secs(watch.max(1)));
         println!();
     }
+}
+
+/// A snapshot and the instant its poll returned.
+type TimedSnapshot = (lcbloom::service::MetricsSnapshot, std::time::Instant);
+
+fn poll_stats(
+    client: &mut ClassifyClient,
+    addr: &str,
+    detail: u8,
+) -> Result<TimedSnapshot, String> {
+    let snap = client
+        .stats(detail)
+        .map_err(|e| format!("fetching stats from {addr}: {e}"))?;
+    Ok((snap, std::time::Instant::now()))
+}
+
+/// The rates between two polls, over the interval measured between them;
+/// the slot is stamped relative to the watcher's `epoch`.
+fn slot_between(
+    (before, before_at): &TimedSnapshot,
+    (after, at): &TimedSnapshot,
+    epoch: std::time::Instant,
+) -> lcbloom::service::HistorySlot {
+    lcbloom::service::HistorySlot::delta(
+        before,
+        after,
+        at.duration_since(epoch).as_nanos() as u64,
+        at.duration_since(*before_at),
+    )
 }
 
 /// Print a wire-fetched snapshot: the compact one-line summary first, then
@@ -798,11 +819,6 @@ fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
             );
         }
     }
-    // Server-computed rates from the history ring (detail 2): the last few
-    // slots, newest last, each a measured-interval delta.
-    for slot in snap.history.iter().rev().take(5).rev() {
-        println!("{}", history_line(slot));
-    }
     if !snap.spans.is_empty() {
         println!(
             "spans: {} sampled span(s) drained (render with `lcbloom trace`)",
@@ -811,7 +827,7 @@ fn print_snapshot(snap: &lcbloom::service::MetricsSnapshot) {
     }
 }
 
-/// One greppable line per history slot: server-computed rates plus
+/// One greppable line per history slot: rates between two snapshots plus
 /// per-shard busy fractions and queue depths.
 fn history_line(slot: &lcbloom::service::HistorySlot) -> String {
     let busy: Vec<String> = (0..slot.shards.len())
@@ -945,55 +961,58 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     let interval = parse_num(&flags, "interval", 2u64)?.max(1);
     let mut client =
         ClassifyClient::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+    let epoch = std::time::Instant::now();
+    let mut prev = poll_stats(&mut client, addr, 0)?;
+    // The newest 60 slots fit a terminal row.
+    let mut slots: std::collections::VecDeque<lcbloom::service::HistorySlot> =
+        std::collections::VecDeque::with_capacity(60);
     loop {
-        let snap = client
-            .stats(2)
-            .map_err(|e| format!("fetching history from {addr}: {e}"))?;
+        std::thread::sleep(std::time::Duration::from_secs(interval));
+        let cur = poll_stats(&mut client, addr, 0)?;
+        if slots.len() == 60 {
+            slots.pop_front();
+        }
+        slots.push_back(slot_between(&prev, &cur, epoch));
+        prev = cur;
         if !once {
             // Repaint in place like top(1).
             print!("\x1b[2J\x1b[H");
         }
-        // The newest 60 slots fit a terminal row; the ring holds 120.
-        let h = &snap.history[snap.history.len().saturating_sub(60)..];
+        let h = slots.make_contiguous();
+        let last = &h[h.len() - 1];
         println!(
-            "lcbloom top — {addr} — {} history slot(s), newest right",
+            "lcbloom top — {addr} — {} slot(s) of {interval}s, newest right",
             h.len()
         );
-        match h.last() {
-            None => println!("(no history yet; the server samples every --history-interval-ms)"),
-            Some(last) => {
-                let docs: Vec<f64> = h.iter().map(|s| s.docs_per_s()).collect();
-                let mbs: Vec<f64> = h.iter().map(|s| s.mb_per_s()).collect();
-                let fmax = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
-                println!(
-                    "{:<8} {}  now {:>8.1}  max {:>8.1}",
-                    "docs/s",
-                    sparkline(&docs),
-                    last.docs_per_s(),
-                    fmax(&docs)
-                );
-                println!(
-                    "{:<8} {}  now {:>8.2}  max {:>8.2}",
-                    "MB/s",
-                    sparkline(&mbs),
-                    last.mb_per_s(),
-                    fmax(&mbs)
-                );
-                for i in 0..last.shards.len() {
-                    let busy: Vec<f64> = h.iter().map(|s| s.busy_frac(i)).collect();
-                    println!(
-                        "shard[{i}]  {}  busy {:>5.2}  depth {}",
-                        sparkline(&busy),
-                        last.busy_frac(i),
-                        last.shards[i].queue_depth
-                    );
-                }
-            }
+        let docs: Vec<f64> = h.iter().map(|s| s.docs_per_s()).collect();
+        let mbs: Vec<f64> = h.iter().map(|s| s.mb_per_s()).collect();
+        let fmax = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
+        println!(
+            "{:<8} {}  now {:>8.1}  max {:>8.1}",
+            "docs/s",
+            sparkline(&docs),
+            last.docs_per_s(),
+            fmax(&docs)
+        );
+        println!(
+            "{:<8} {}  now {:>8.2}  max {:>8.2}",
+            "MB/s",
+            sparkline(&mbs),
+            last.mb_per_s(),
+            fmax(&mbs)
+        );
+        for i in 0..last.shards.len() {
+            let busy: Vec<f64> = h.iter().map(|s| s.busy_frac(i)).collect();
+            println!(
+                "shard[{i}]  {}  busy {:>5.2}  depth {}",
+                sparkline(&busy),
+                last.busy_frac(i),
+                last.shards[i].queue_depth
+            );
         }
         if once {
             return Ok(());
         }
-        std::thread::sleep(std::time::Duration::from_secs(interval));
     }
 }
 

@@ -238,6 +238,70 @@ fn worker_panic_mid_document_is_a_typed_fault_not_a_hang() {
     );
 }
 
+#[test]
+fn repeated_worker_panics_answer_each_document_once() {
+    // worker_panic = 1.0 on pipelined whole documents: every frame panics.
+    // Each document's Size panic takes its one response slot; the panics
+    // on its Data, EoD and Query hit a quarantined session whose document
+    // was already answered, so they must stay silent — an EngineFault per
+    // frame would shift every later response onto the wrong document.
+    let server = serve(
+        classifier(),
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            chaos: Some(ChaosConfig {
+                seed: 1,
+                worker_panic: 1.0,
+                ..ChaosConfig::default()
+            }),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("bind localhost");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (kind, payload) = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(
+        WireResponse::decode(kind, &payload).unwrap(),
+        WireResponse::Hello { .. }
+    ));
+    const DOCS: usize = 3;
+    stream
+        .write_all(&doc_burst(b"every frame of this document panics", DOCS))
+        .unwrap();
+    for _ in 0..DOCS {
+        let (kind, payload) = read_frame(&mut stream).unwrap().expect("fault before EOF");
+        match WireResponse::decode(kind, &payload).unwrap() {
+            WireResponse::Error { code, .. } => assert_eq!(code, ErrorCode::EngineFault),
+            other => panic!("expected EngineFault, got {other:?}"),
+        }
+    }
+    // Every frame was applied (and panicked) before the shutdown joins the
+    // worker; only then is the absence of a fourth response conclusive.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.metrics().snapshot().worker_panics < 4 * DOCS as u64
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    match read_frame(&mut stream) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("a document was answered twice: {other:?}"),
+    }
+    let snap = server.shutdown();
+    assert_eq!(snap.worker_panics, 4 * DOCS as u64, "{snap:?}");
+}
+
 /// One pipelined document burst (Size + Data + EoD + Query) as raw bytes.
 fn doc_burst(doc: &[u8], copies: usize) -> Vec<u8> {
     let words = pack_words(doc);

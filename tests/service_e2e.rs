@@ -5,10 +5,13 @@
 //! `tests/protocol_faults.rs` suite, over a real socket.
 
 use lcbloom::prelude::*;
-use lcbloom::service::{serve, ClientError, ServiceConfig};
+use lcbloom::service::{
+    histogram_percentile_us, serve, set_recv_buffer, ClientError, ServiceConfig,
+};
 use lcbloom::wire::{pack_words, read_frame, write_frame, ErrorCode, WireCommand, WireResponse};
 use std::io::Write;
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -579,6 +582,10 @@ fn slow_consumer_is_reset_not_left_stalling() {
     let addr = server.addr();
 
     let slow = raw_conn(addr);
+    // A receive buffer the peer's kernel cannot auto-tune upward: without
+    // it the kernel absorbs the whole burst of responses, the server's
+    // writes never stall, and the premise of the test is host-dependent.
+    set_recv_buffer(slow.as_raw_fd(), 4096).unwrap();
     // Nonblocking writes: once the server masks the slow peer's EPOLLIN,
     // nothing drains the socket and a blocking write would deadlock the
     // test itself.
@@ -644,6 +651,8 @@ fn slow_consumer_partial_drain_then_silence_is_still_reset() {
     let addr = server.addr();
 
     let slow = raw_conn(addr);
+    // See `slow_consumer_is_reset_not_left_stalling`.
+    set_recv_buffer(slow.as_raw_fd(), 4096).unwrap();
     slow.set_nonblocking(true).unwrap();
     let mut slow = slow;
     let burst = doc_burst(b"drain a little then freeze", 6000);
@@ -691,6 +700,78 @@ fn slow_consumer_partial_drain_then_silence_is_still_reset() {
     assert!(
         snap.slow_consumer_resets >= 1,
         "partial drain disarmed the slow-consumer clock: {snap:?}"
+    );
+}
+
+#[test]
+fn slow_consumer_trickle_reader_is_reset() {
+    // The slow-read attack: a peer that keeps reading, but only 4 KiB
+    // every 200 ms, far slower than its pipelined documents produce
+    // responses. It makes some progress; it must still be reset rather
+    // than hold its queue (and its connection slot) indefinitely.
+    let c = classifier();
+    let server = serve(
+        Arc::clone(&c),
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            send_buffer: 4096,
+            outbound_high_water: 32 * 1024,
+            slow_consumer_deadline: Duration::from_millis(300),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("bind localhost");
+    let addr = server.addr();
+
+    let mut slow = raw_conn(addr);
+    // See `slow_consumer_is_reset_not_left_stalling`.
+    set_recv_buffer(slow.as_raw_fd(), 4096).unwrap();
+    slow.set_nonblocking(true).unwrap();
+    let burst = doc_burst(b"a trickle of reads is not a reader", 6000);
+    let mut written = 0usize;
+    let mut trickled = 0usize;
+    let mut chunk = [0u8; 4096];
+    let mut next_read = std::time::Instant::now();
+    let deadline = std::time::Instant::now() + Duration::from_secs(15);
+    while server.metrics().snapshot().slow_consumer_resets == 0
+        && std::time::Instant::now() < deadline
+    {
+        if written < burst.len() {
+            match slow.write(&burst[written..]) {
+                Ok(n) => {
+                    written += n;
+                    continue;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(_) => break, // reset by the server
+            }
+        }
+        if std::time::Instant::now() >= next_read {
+            next_read += Duration::from_millis(200);
+            match std::io::Read::read(&mut slow, &mut chunk) {
+                Ok(0) => break,
+                Ok(n) => trickled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(_) => break,
+            }
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // A reset seen by the peer first may not be counted yet.
+    while server.metrics().snapshot().slow_consumer_resets == 0
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let snap = server.shutdown();
+    assert!(
+        trickled > 0,
+        "the peer read nothing; the scenario is a trickle"
+    );
+    assert!(
+        snap.slow_consumer_resets >= 1,
+        "trickle reader was never reset: {snap:?}"
     );
 }
 
@@ -1157,4 +1238,55 @@ fn reactor_loop_counters_move_under_traffic() {
         "events-per-wake histogram filled"
     );
     server.shutdown();
+}
+
+#[test]
+fn sequential_documents_each_count_a_write_syscall() {
+    // A peer that reads its responses gets each one written through by
+    // the worker, never queued for the reactor: those writes count too.
+    let server = start(2, Duration::from_secs(5));
+    let docs = test_docs();
+    let mut client = ClassifyClient::connect(server.addr()).expect("connect");
+    const N: usize = 12;
+    for doc in docs.iter().take(N) {
+        client.classify(doc).expect("classify");
+    }
+    let snap = server.shutdown();
+    assert_eq!(snap.documents, N as u64);
+    assert!(
+        snap.write_syscalls >= N as u64,
+        "{N} responses written with {} counted write passes",
+        snap.write_syscalls
+    );
+}
+
+#[test]
+fn latency_percentiles_bound_their_stages_under_pipelined_load() {
+    // Each document's queue-wait and classify stages are sub-intervals of
+    // its end-to-end latency, so every latency percentile bounds the same
+    // percentile of either stage. One worker and a deep pipeline make the
+    // queue-wait stage large.
+    let server = start(1, Duration::from_secs(5));
+    let docs = test_docs();
+    let refs: Vec<&[u8]> = docs.iter().map(|d| d.as_slice()).collect();
+    let mut client = ClassifyClient::connect(server.addr()).expect("connect");
+    let served = client
+        .classify_many_mux(&refs, 8, 16)
+        .expect("pipelined batch");
+    assert_eq!(served.len(), refs.len());
+    let snap = server.shutdown();
+    assert_eq!(snap.documents, refs.len() as u64);
+    for q in [0.50, 0.95, 0.99] {
+        let latency = histogram_percentile_us(&snap.latency, q);
+        for (name, stage) in [
+            ("queue_wait", &snap.queue_wait),
+            ("classify", &snap.classify),
+        ] {
+            assert!(
+                latency >= histogram_percentile_us(stage, q),
+                "p{q} latency {latency:?} µs below p{q} {name} {:?} µs",
+                histogram_percentile_us(stage, q)
+            );
+        }
+    }
 }

@@ -1,17 +1,17 @@
-//! End-to-end tests of the trace-span and history planes: spans sampled
-//! server-side must come back over the wire with the stage invariant
-//! intact, client-supplied TraceContext ids must be adopted verbatim,
-//! chaos-faulted documents must be force-sampled with the fault site
-//! named, the history ring must carry server-computed rates — and none of
-//! it may leak into what a v1 / `detail<=1` decoder sees.
+//! End-to-end tests of the trace-span plane and snapshot rates: spans
+//! sampled server-side must come back over the wire with the stage
+//! invariant intact, client-supplied TraceContext ids must be adopted
+//! verbatim, chaos-faulted documents must be force-sampled with the fault
+//! site named, two polled snapshots must yield the rates between them —
+//! and no span may leak into what a v1 / `detail<=1` decoder sees.
 
 use lcbloom::prelude::*;
 use lcbloom::service::{
-    fault_name, serve, ChaosConfig, ServiceConfig, FAULT_WORKER_DELAY, SPAN_CLIENT_CONTEXT,
-    SPAN_FAULT, SPAN_SAMPLED,
+    fault_name, serve, ChaosConfig, HistorySlot, ServiceConfig, FAULT_WORKER_DELAY,
+    SPAN_CLIENT_CONTEXT, SPAN_FAULT, SPAN_SAMPLED,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 fn classifier() -> Arc<MultiLanguageClassifier> {
     static CLASSIFIER: std::sync::OnceLock<Arc<MultiLanguageClassifier>> =
@@ -192,53 +192,52 @@ fn protocol_faults_surface_spans_naming_the_site() {
 }
 
 #[test]
-fn history_ring_carries_server_computed_rates() {
+fn history_rates_come_from_two_polled_snapshots() {
     let server = start(ServiceConfig {
         workers: 2,
-        history_interval: Duration::from_millis(40),
         ..ServiceConfig::default()
     });
     let docs = test_docs();
     let mut client = ClassifyClient::connect(server.addr()).expect("connect");
+    let epoch = Instant::now();
+    let before = client.stats(0).expect("first poll");
+    let before_at = Instant::now();
     let sent: usize = 10;
     for doc in docs.iter().take(sent) {
         client.classify(doc).expect("classify");
     }
-    // Let the sampler cut at least two slots past the traffic.
-    std::thread::sleep(Duration::from_millis(250));
+    let after = client.stats(0).expect("second poll");
+    let at = Instant::now();
 
-    let snap = client.stats(2).expect("stats detail=2");
-    assert!(
-        snap.history.len() >= 2,
-        "sampler cut {} slot(s), wanted >= 2",
-        snap.history.len()
+    let slot = HistorySlot::delta(
+        &before,
+        &after,
+        at.duration_since(epoch).as_nanos() as u64,
+        at.duration_since(before_at),
     );
-    let docs_seen: u64 = snap.history.iter().map(|s| s.docs).sum();
-    assert_eq!(docs_seen, sent as u64, "slot deltas must sum to the load");
-    let mut prev_ts = 0u64;
-    for slot in &snap.history {
-        assert!(slot.ts_ns > prev_ts, "slot timestamps must advance");
-        prev_ts = slot.ts_ns;
-        assert!(slot.interval_us > 0, "measured interval must be positive");
-        assert_eq!(slot.shards.len(), 2);
-        if slot.docs > 0 {
-            assert!(slot.docs_per_s() > 0.0);
-            assert!(slot.mb_per_s() > 0.0);
-        }
-    }
+    assert_eq!(slot.docs, sent as u64, "the delta counts exactly the load");
+    let bytes: usize = docs.iter().take(sent).map(|d| d.len()).sum();
+    assert_eq!(slot.doc_bytes, bytes as u64);
+    assert!(slot.interval_us > 0, "measured interval must be positive");
+    assert!(
+        slot.ts_ns >= slot.interval_us * 1000,
+        "slot ends after it starts"
+    );
+    assert_eq!(slot.shards.len(), 2);
+    assert_eq!(slot.shards.iter().map(|s| s.docs).sum::<u64>(), sent as u64);
+    assert!(slot.docs_per_s() > 0.0);
+    assert!(slot.mb_per_s() > 0.0);
     server.shutdown();
 }
 
 #[test]
 fn detail_at_most_one_stays_clean_for_v1_decoders() {
-    // A server with spans captured and history cut must answer
-    // `GetStats(detail<=1)` with neither section — the PR-7 schema,
-    // bit-compatible for old decoders — and the withheld spans must stay
-    // buffered, not be silently drained.
+    // A server with spans captured must answer `GetStats(detail<=1)`
+    // without them — the pre-tracing schema, bit-compatible for old decoders —
+    // and the withheld spans must stay buffered, not be silently drained.
     let server = start(ServiceConfig {
         workers: 2,
         trace_sample: 1,
-        history_interval: Duration::from_millis(40),
         ..ServiceConfig::default()
     });
     let docs = test_docs();
@@ -246,7 +245,6 @@ fn detail_at_most_one_stays_clean_for_v1_decoders() {
     for doc in docs.iter().take(3) {
         client.classify(doc).expect("classify");
     }
-    std::thread::sleep(Duration::from_millis(120));
 
     for detail in [0u8, 1] {
         let snap = client.stats(detail).expect("low-detail stats");
@@ -254,15 +252,10 @@ fn detail_at_most_one_stays_clean_for_v1_decoders() {
             snap.spans.is_empty(),
             "detail={detail} leaked spans to a v1-era decoder"
         );
-        assert!(
-            snap.history.is_empty(),
-            "detail={detail} leaked history to a v1-era decoder"
-        );
         assert_eq!(snap.documents, 3);
     }
     // Low-detail reads did not consume the span plane.
     let snap = client.stats(2).expect("stats detail=2");
     assert_eq!(snap.spans.len(), 3, "spans must survive low-detail reads");
-    assert!(!snap.history.is_empty());
     server.shutdown();
 }
